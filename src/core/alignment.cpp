@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "math/angles.hpp"
@@ -59,6 +60,23 @@ void excise_spikes(std::vector<double>& xs, const std::vector<double>& t,
   }
 }
 
+/// EMA gain 1 - exp(-dt / tau), recomputed only when dt changes: IMU
+/// steps are nearly always equal, so almost every sample reuses the last
+/// gain (bit-identical, same expression).
+struct EmaGain {
+  double tau;
+  double dt = std::numeric_limits<double>::quiet_NaN();
+  double gain = 0.0;
+
+  double operator()(double step) {
+    if (step != dt) {
+      dt = step;
+      gain = 1.0 - std::exp(-step / tau);
+    }
+    return gain;
+  }
+};
+
 }  // namespace
 
 AlignedStates align_states(const sensors::SensorTrace& trace,
@@ -98,6 +116,8 @@ AlignedStates align_states(const sensors::SensorTrace& trace,
   double last_rate_update_t = -1e9;
   double road_rate_state = 0.0;
   double gyro_slow = 0.0;  // long-horizon gyro average (outage fallback)
+  EmaGain slow_gain{std::max(0.1, config.outage_gyro_tau_s)};
+  EmaGain road_gain{config.road_rate_tau_s};
 
   for (std::size_t i = 0; i < n; ++i) {
     const double ti = out.t[i];
@@ -124,30 +144,25 @@ AlignedStates align_states(const sensors::SensorTrace& trace,
     out.gps_available[i] = ti - prev_fix_t < 2.0 && have_prev_fix;
     const double dt = i > 0 ? std::max(1e-6, out.t[i] - out.t[i - 1])
                             : 1.0 / std::max(1.0, trace.imu_rate_hz);
-    const double slow_alpha =
-        1.0 - std::exp(-dt / std::max(0.1, config.outage_gyro_tau_s));
-    gyro_slow += slow_alpha * (out.yaw_rate[i] - gyro_slow);
+    gyro_slow += slow_gain(dt) * (out.yaw_rate[i] - gyro_slow);
     const double target =
         fresh ? target_rate
               : (config.outage_gyro_fallback ? gyro_slow : 0.0);
-    const double alpha = 1.0 - std::exp(-dt / config.road_rate_tau_s);
-    road_rate_state += alpha * (target - road_rate_state);
+    road_rate_state += road_gain(dt) * (target - road_rate_state);
     out.road_rate[i] = road_rate_state;
   }
 
   // ---- Steering rate + slow gyro bias removal ------------------------
   out.steer_rate.assign(n, 0.0);
   double bias = 0.0;
+  EmaGain bias_gain{config.bias_tau_s};
   for (std::size_t i = 0; i < n; ++i) {
     const double raw = out.yaw_rate[i] - out.road_rate[i];
     if (config.remove_bias) {
       const double dt = i > 0 ? std::max(1e-6, out.t[i] - out.t[i - 1])
                               : 1.0 / std::max(1.0, trace.imu_rate_hz);
       // Only learn the bias while the residual is small (not steering).
-      if (std::abs(raw - bias) < 0.08) {
-        const double alpha = 1.0 - std::exp(-dt / config.bias_tau_s);
-        bias += alpha * (raw - bias);
-      }
+      if (std::abs(raw - bias) < 0.08) bias += bias_gain(dt) * (raw - bias);
       out.steer_rate[i] = raw - bias;
     } else {
       out.steer_rate[i] = raw;

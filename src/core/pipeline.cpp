@@ -4,26 +4,13 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "math/interp_batch.hpp"
 #include "obs/obs.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace rge::core {
 
 namespace {
-
-/// Piecewise-linear sample of (ts, vs) at time q, clamped.
-double sample_series(const std::vector<double>& ts,
-                     const std::vector<double>& vs, double q) {
-  if (ts.empty()) return 0.0;
-  if (q <= ts.front()) return vs.front();
-  if (q >= ts.back()) return vs.back();
-  const auto it = std::upper_bound(ts.begin(), ts.end(), q);
-  const std::size_t hi = static_cast<std::size_t>(it - ts.begin());
-  const std::size_t lo = hi - 1;
-  const double denom = ts[hi] - ts[lo];
-  const double f = denom > 0.0 ? (q - ts[lo]) / denom : 0.0;
-  return vs[lo] * (1.0 - f) + vs[hi] * f;
-}
 
 /// Full pipeline over one trace. When `pool` is non-null the per-source
 /// EKF/RTS runs fan out as nested pool tasks; each writes only its own
@@ -141,10 +128,11 @@ PipelineResult estimate_gradient_impl(const sensors::SensorTrace& trace,
         src_v.push_back(f.speed_mps);
       }
     }
-    result.det_speed.reserve(dn);
-    for (std::size_t i = 0; i < dn; ++i) {
-      result.det_speed.push_back(
-          sample_series(src_t, src_v, result.det_t[i]));
+    // Streams and the IMU timeline are sorted (sanitized), so every
+    // resampling below is one linear sweep.
+    result.det_speed.assign(dn, 0.0);
+    if (!src_t.empty()) {
+      math::resample_sorted(src_t, src_v, result.det_t, result.det_speed);
     }
 
     result.lane_changes =
@@ -162,15 +150,14 @@ PipelineResult estimate_gradient_impl(const sensors::SensorTrace& trace,
         !result.lane_changes.empty()) {
       const std::vector<double> alpha_det = steering_angle_series(
           result.det_t, result.det_steer_raw, result.lane_changes);
-      std::vector<double> alpha_imu(aligned.size(), 0.0);
-      std::vector<double> w_imu(aligned.size(), 0.0);
-      std::vector<double> v_imu(aligned.size(), 0.0);
-      for (std::size_t i = 0; i < aligned.size(); ++i) {
-        alpha_imu[i] = sample_series(result.det_t, alpha_det, aligned.t[i]);
-        w_imu[i] = sample_series(result.det_t, result.det_steer_smoothed,
-                                 aligned.t[i]);
-        v_imu[i] = sample_series(result.det_t, result.det_speed, aligned.t[i]);
-      }
+      const auto to_imu = [&](const std::vector<double>& det_series) {
+        std::vector<double> out(aligned.size());
+        math::resample_sorted(result.det_t, det_series, aligned.t, out);
+        return out;
+      };
+      const std::vector<double> alpha_imu = to_imu(alpha_det);
+      const std::vector<double> w_imu = to_imu(result.det_steer_smoothed);
+      const std::vector<double> v_imu = to_imu(result.det_speed);
       accel_for_ekf = adjust_specific_force(aligned.accel_forward, alpha_imu,
                                             w_imu, v_imu,
                                             config.assumed_road_crown,

@@ -55,7 +55,9 @@ struct PipelineConfig {
   /// and an out-of-order block corrupts every downstream time integral.
   /// Costs one finiteness+order scan on clean traces. Drop counts are
   /// reported in PipelineResult::sanitize and the pipeline.sanitizer.*
-  /// obs counters.
+  /// obs counters. Switch it off only for traces known to be clean: the
+  /// smoothing and resampling stages reject unsorted timestamps with
+  /// std::invalid_argument.
   bool sanitize_input = true;
 
   /// Estimate and undo the phone's mount-yaw misalignment from the trace

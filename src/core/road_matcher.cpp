@@ -1,6 +1,7 @@
 #include "core/road_matcher.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <deque>
 #include <limits>
@@ -160,18 +161,30 @@ std::vector<MatchedFix> RoadMatcher::match_track(
 
 namespace {
 
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+
 /// FNV-1a over an arbitrary byte range.
 std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   for (std::size_t i = 0; i < n; ++i) {
     h ^= bytes[i];
-    h *= 0x100000001b3ull;
+    h *= kFnvPrime;
   }
   return h;
 }
 
+/// FNV-1a over the samples, one 8-byte word per step (a road's geometry is
+/// ~130 KB, so byte steps cost more than the cache hit they guard). A
+/// multiply only carries differences upward, so each step folds the high
+/// half back down; otherwise equal flips of a word's top bit in two
+/// samples would cancel.
 std::uint64_t fnv1a(const std::vector<double>& xs, std::uint64_t h) {
-  return fnv1a(xs.data(), xs.size() * sizeof(double), h);
+  for (const double x : xs) {
+    h ^= std::bit_cast<std::uint64_t>(x);
+    h *= kFnvPrime;
+    h ^= h >> 32;
+  }
+  return h;
 }
 
 }  // namespace

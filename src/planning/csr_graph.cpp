@@ -249,6 +249,10 @@ void CsrGraph::build_landmarks(const AltConfig& alt) {
 
     // Farthest-point selection on forward distances, seeded from node 0.
     // Ties break to the lower internal id so selection is deterministic.
+    // Each selected landmark's forward distances are its land_from_ row.
+    auto& from = land_from_[mi];
+    from.clear();
+    from.reserve(k * n);
     min_dist.assign(n, kInf);
     std::uint32_t next = 0;
     dijkstra_all(0, metric, /*reverse=*/false, dist);
@@ -262,6 +266,7 @@ void CsrGraph::build_landmarks(const AltConfig& alt) {
     while (lms.size() < k) {
       lms.push_back(next);
       dijkstra_all(next, metric, /*reverse=*/false, dist);
+      from.insert(from.end(), dist.begin(), dist.end());
       double far = -1.0;
       std::uint32_t far_node = kNoEdge;
       for (std::uint32_t v = 0; v < n; ++v) {
@@ -275,13 +280,9 @@ void CsrGraph::build_landmarks(const AltConfig& alt) {
       next = far_node;
     }
 
-    // Distance tables for the selected landmarks, both directions.
-    land_from_[mi].assign(lms.size() * n, kInf);
+    // Backward distance tables for the selected landmarks.
     land_to_[mi].assign(lms.size() * n, kInf);
     for (std::size_t li = 0; li < lms.size(); ++li) {
-      dijkstra_all(lms[li], metric, /*reverse=*/false, dist);
-      std::copy(dist.begin(), dist.end(),
-                land_from_[mi].begin() + static_cast<std::ptrdiff_t>(li * n));
       dijkstra_all(lms[li], metric, /*reverse=*/true, dist);
       std::copy(dist.begin(), dist.end(),
                 land_to_[mi].begin() + static_cast<std::ptrdiff_t>(li * n));

@@ -81,10 +81,9 @@ struct MapService::Shard {
   obs::Counter c_samples;
 #endif
 
-  Shard(std::size_t idx, std::size_t n_roads, std::size_t matcher_capacity)
+  Shard(std::size_t idx, std::size_t n_roads)
       : index(idx),
-        acc(n_roads),
-        matchers(matcher_capacity)
+        acc(n_roads)
 #if RGE_OBS_ENABLED
         ,
         c_tracks("service.shard" + std::to_string(idx) + ".tracks"),
@@ -151,8 +150,7 @@ void MapService::build_shards(std::size_t n_shards) {
   std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(n_shards);
   for (std::size_t s = 0; s < n_shards; ++s) {
-    shards.push_back(std::make_unique<Shard>(s, network_.size(),
-                                             cfg_.matcher_cache_capacity));
+    shards.push_back(std::make_unique<Shard>(s, network_.size()));
   }
   for (std::size_t r = 0; r < network_.size(); ++r) {
     for (std::size_t t = 0; t < tiles_per_road_[r]; ++t) {

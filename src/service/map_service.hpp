@@ -66,10 +66,9 @@ struct MapServiceConfig {
   /// Fusion settings for every per-shard accumulator (distance_step_m is
   /// the serving grid's cell size).
   core::FusionConfig fusion;
-  /// Map-matching settings for the per-shard matcher caches.
+  /// Map-matching settings for the per-shard matcher caches (each of
+  /// core::MatcherCache's default capacity).
   core::MapMatchConfig match;
-  /// Capacity of each shard's MatcherCache.
-  std::size_t matcher_cache_capacity = 8;
   /// Serving threshold: cells covered by fewer tracks are left out of
   /// published snapshots (min 1 — a partially covered city grid still
   /// serves what it has).

@@ -187,6 +187,61 @@ TEST(MatchCache, ConfigChangeBuildsASeparateMatcher) {
   EXPECT_EQ(snap.counters.at("match.cache_hit"), 1);
 }
 
+#if RGE_OBS_ENABLED
+TEST(MatchCache, SharedCacheHoldsACity) {
+  // A survey pass rekeys trips on every road of the city through the
+  // process-wide cache behind rekey_track_by_road. A cache smaller than
+  // the city evicts each matcher before its road comes round again, so
+  // the second pass would miss on every lookup.
+  const road::RoadNetwork net = road::make_city_network(2019);
+  ASSERT_EQ(net.size(), 97u);
+  struct Drive {
+    GradeTrack track;
+    std::vector<sensors::GpsFix> fixes;
+  };
+  std::vector<Drive> drives;
+  for (const auto& nr : net.roads()) {
+    Drive d;
+    for (double s = 0.0; s < nr.road.length_m(); s += 50.0) {
+      sensors::GpsFix fix;
+      fix.t = s / 12.5;
+      fix.position = nr.road.geo_at(s);
+      d.fixes.push_back(fix);
+      d.track.t.push_back(fix.t);
+      d.track.s.push_back(s);  // rekeying reads only t and s
+    }
+    drives.push_back(std::move(d));
+  }
+
+  const auto counter = [](const obs::MetricsSnapshot& snap,
+                          const char* name) -> std::int64_t {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  const auto survey_pass = [&] {
+    for (std::size_t r = 0; r < drives.size(); ++r) {
+      (void)rekey_track_by_road(drives[r].track, net.roads()[r].road,
+                                drives[r].fixes);
+    }
+    return obs::Registry::global().snapshot();
+  };
+  obs::reset_all();
+  obs::set_enabled(true);
+  const auto first = survey_pass();
+  const auto second = survey_pass();
+  obs::set_enabled(false);
+  obs::reset_all();
+
+  const auto roads = static_cast<std::int64_t>(net.size());
+  EXPECT_EQ(counter(second, "match.cache_hit") -
+                counter(first, "match.cache_hit"),
+            roads);
+  EXPECT_EQ(counter(second, "match.cache_miss") -
+                counter(first, "match.cache_miss"),
+            0);
+}
+#endif
+
 TEST(RekeyTrack, ThrowsWithoutUsableFixes) {
   const Scenario sc = simulate(6);
   const auto res =

@@ -12,9 +12,10 @@
 //   * per-shard obs counters (service.shard<k>.tracks/.samples) must
 //     mirror the shards' local stats.
 //
-// The measured numbers are written to BENCH_map_service.json (override
-// the path with RGE_BENCH_MAP_SERVICE_OUT) as the repo's perf-trajectory
-// artifact for this workload.
+// The measured numbers are written to BENCH_map_service_perf.json
+// (override the path with RGE_BENCH_MAP_SERVICE_OUT). That is not
+// bench_map_service's BENCH_map_service.json: the bench's 10k-vehicle
+// artifact is checked in and this 2,000-vehicle run must not replace it.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -205,7 +206,8 @@ TEST(MapServicePerf, CityFleetBudgets) {
   };
   const char* out = std::getenv("RGE_BENCH_MAP_SERVICE_OUT");
   testing::write_json_file(testing::Json(doc),
-                           out != nullptr ? out : "BENCH_map_service.json");
+                           out != nullptr ? out
+                                          : "BENCH_map_service_perf.json");
 }
 
 }  // namespace
