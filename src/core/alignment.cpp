@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "math/angles.hpp"
+#include "math/ema_gain.hpp"
 
 namespace rge::core {
 
@@ -60,23 +60,6 @@ void excise_spikes(std::vector<double>& xs, const std::vector<double>& t,
   }
 }
 
-/// EMA gain 1 - exp(-dt / tau), recomputed only when dt changes: IMU
-/// steps are nearly always equal, so almost every sample reuses the last
-/// gain (bit-identical, same expression).
-struct EmaGain {
-  double tau;
-  double dt = std::numeric_limits<double>::quiet_NaN();
-  double gain = 0.0;
-
-  double operator()(double step) {
-    if (step != dt) {
-      dt = step;
-      gain = 1.0 - std::exp(-step / tau);
-    }
-    return gain;
-  }
-};
-
 }  // namespace
 
 AlignedStates align_states(const sensors::SensorTrace& trace,
@@ -116,8 +99,8 @@ AlignedStates align_states(const sensors::SensorTrace& trace,
   double last_rate_update_t = -1e9;
   double road_rate_state = 0.0;
   double gyro_slow = 0.0;  // long-horizon gyro average (outage fallback)
-  EmaGain slow_gain{std::max(0.1, config.outage_gyro_tau_s)};
-  EmaGain road_gain{config.road_rate_tau_s};
+  math::EmaGain slow_gain{std::max(0.1, config.outage_gyro_tau_s)};
+  math::EmaGain road_gain{config.road_rate_tau_s};
 
   for (std::size_t i = 0; i < n; ++i) {
     const double ti = out.t[i];
@@ -155,7 +138,7 @@ AlignedStates align_states(const sensors::SensorTrace& trace,
   // ---- Steering rate + slow gyro bias removal ------------------------
   out.steer_rate.assign(n, 0.0);
   double bias = 0.0;
-  EmaGain bias_gain{config.bias_tau_s};
+  math::EmaGain bias_gain{config.bias_tau_s};
   for (std::size_t i = 0; i < n; ++i) {
     const double raw = out.yaw_rate[i] - out.road_rate[i];
     if (config.remove_bias) {

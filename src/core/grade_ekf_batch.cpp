@@ -113,6 +113,18 @@ void GradeEkfBatch::seed(std::size_t lane, double initial_speed,
   live_[lane] = 1.0;
 }
 
+void GradeEkfBatch::reset(std::size_t lane) {
+  if (lane >= lanes_) {
+    throw std::out_of_range("GradeEkfBatch::reset: lane out of range");
+  }
+  v_[lane] = 0.0;
+  th_[lane] = 0.0;
+  p00_[lane] = 0.0;
+  p01_[lane] = 0.0;
+  p11_[lane] = 0.0;
+  live_[lane] = 0.0;
+}
+
 void GradeEkfBatch::predict(std::span<const double> specific_force,
                             std::span<const double> dt) {
   predict_masked(specific_force, dt, nullptr);

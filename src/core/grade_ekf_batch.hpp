@@ -47,6 +47,8 @@ class GradeEkfBatch {
   void seed(std::size_t lane, double initial_speed,
             double initial_grade = 0.0);
   bool seeded(std::size_t lane) const { return live_[lane] != 0.0; }
+  /// Return one lane to its constructed state: unseeded, all zero.
+  void reset(std::size_t lane);
 
   /// Vectorized predict across all lanes: lane i advances iff it is seeded
   /// and specific_force/dt[i] has dt > 0 (exactly GradeEkf::predict's

@@ -69,6 +69,8 @@ OnlineGradientEstimator::OnlineGradientEstimator(
     const vehicle::VehicleParams& params, const OnlineEstimatorConfig& config)
     : params_(params),
       cfg_(config),
+      road_gain_{config.alignment.road_rate_tau_s},
+      bias_gain_{config.alignment.bias_tau_s},
       smoothing_half_(smoothing_half_samples(config)),
       det_(ring_capacity(config, smoothing_half_samples(config))) {
   // Reference-mode windows are bounded by the ring size; reserving here
@@ -91,7 +93,7 @@ OnlineGradientEstimator::SourceFilter::SourceFilter(const char* source_name)
   (void)source_name;
 }
 
-// SourceFilter EKF access: dispatch to the attached SoA batch lane when
+// SourceFilter EKF access: dispatch to the attached SoA store lane when
 // the filter was re-homed by OnlineEstimatorBatch, else to the owned
 // GradeEkf. GradeEkfBatch's update_velocity/seed/accessors are defined
 // inline in its header and run the exact scalar kernel, so both branches
@@ -141,16 +143,15 @@ void OnlineGradientEstimator::SourceFilter::seed_filter(
   }
 }
 
-void OnlineGradientEstimator::attach_batch(GradeEkfBatch* gps,
-                                           GradeEkfBatch* speedometer,
-                                           GradeEkfBatch* canbus,
-                                           std::size_t lane) {
-  gps_.batch = gps;
-  gps_.batch_lane = lane;
-  speedometer_.batch = speedometer;
-  speedometer_.batch_lane = lane;
-  canbus_.batch = canbus;
-  canbus_.batch_lane = lane;
+void OnlineGradientEstimator::attach_batch(GradeEkfBatch* store,
+                                           std::size_t lane,
+                                           std::size_t stride) {
+  std::size_t slot = lane;
+  for (SourceFilter* src : {&gps_, &speedometer_, &canbus_}) {
+    src->batch = store;
+    src->batch_lane = slot;
+    slot += stride;
+  }
 }
 
 OnlineGradientEstimator::TimeGate
@@ -164,16 +165,8 @@ OnlineGradientEstimator::classify_measurement_time(const SourceFilter& src,
 void OnlineGradientEstimator::publish_source_gauges(SourceFilter& src) {
 #if RGE_OBS_ENABLED
   if (!obs::enabled()) return;
-  const auto r = static_cast<std::int64_t>(std::llround(src.r_eff * 1000.0));
-  if (r != src.r_eff_milli_pub) {
-    src.g_r_eff.add(r - src.r_eff_milli_pub);
-    src.r_eff_milli_pub = r;
-  }
-  const auto h = static_cast<std::int64_t>(std::llround(src.health * 1000.0));
-  if (h != src.health_permille_pub) {
-    src.g_health.add(h - src.health_permille_pub);
-    src.health_permille_pub = h;
-  }
+  src.g_r_eff.set(std::llround(src.r_eff * 1000.0));
+  src.g_health.set(std::llround(src.health * 1000.0));
 #else
   (void)src;
 #endif
@@ -184,10 +177,7 @@ void OnlineGradientEstimator::enter_quarantine(SourceFilter& src, double t) {
   src.probe_open_t = t + cfg_.defense.readmit_after_s;
   src.probes_passed = 0;
 #if RGE_OBS_ENABLED
-  if (obs::enabled() && src.quarantined_pub != 1) {
-    src.g_quarantined.add(1 - src.quarantined_pub);
-    src.quarantined_pub = 1;
-  }
+  if (obs::enabled()) src.g_quarantined.set(1);
 #endif
 }
 
@@ -200,10 +190,7 @@ void OnlineGradientEstimator::readmit(SourceFilter& src) {
   src.nis_ewma = 1.0;
   src.bias_ewma = 0.0;
 #if RGE_OBS_ENABLED
-  if (obs::enabled() && src.quarantined_pub != 0) {
-    src.g_quarantined.add(-src.quarantined_pub);
-    src.quarantined_pub = 0;
-  }
+  if (obs::enabled()) src.g_quarantined.set(0);
 #endif
 }
 
@@ -495,32 +482,13 @@ bool OnlineGradientEstimator::any_usable_source() const {
          source_usable(canbus_);
 }
 
-double OnlineGradientEstimator::fused_speed() const {
-  // Speed of the lowest-grade-variance filter, matching estimate()'s
-  // selection (first source wins ties, in gps/speedometer/canbus order)
-  // without the allocating convex fusion. Quarantined sources are
-  // excluded unless every seeded source is quarantined (see
-  // OnlineEstimate::sources_fused_mask).
-  const bool all_quarantined = !any_usable_source();
-  double best_var = 0.0;
-  double speed = 0.0;
-  bool any = false;
-  for (const SourceFilter* src : {&gps_, &speedometer_, &canbus_}) {
-    if (!src->seeded()) continue;
-    if (src->quarantined && !all_quarantined) continue;
-    const double var = src->grade_variance();
-    if (!any || var < best_var) {
-      any = true;
-      best_var = var;
-      speed = src->speed();
-    }
-  }
-  return speed;
-}
-
 bool OnlineGradientEstimator::fused_state(double* v, double* th) const {
-  // Same best-grade-variance selection as fused_speed(), returning the
-  // filter's speed and grade together (the baro anchor integrates both).
+  // Speed and grade of the lowest-grade-variance filter, matching
+  // estimate()'s selection (first source wins ties, in
+  // gps/speedometer/canbus order) without the allocating convex fusion.
+  // Quarantined sources are excluded unless every seeded source is
+  // quarantined (see OnlineEstimate::sources_fused_mask). Leaves *v and
+  // *th untouched and returns false when no filter is seeded.
   const bool all_quarantined = !any_usable_source();
   double best_var = 0.0;
   bool any = false;
@@ -581,15 +549,11 @@ OnlineGradientEstimator::ImuStep OnlineGradientEstimator::push_imu_begin(
   }
   const bool fresh = sample.t - last_rate_update_t_ < 3.0;
   const double target = fresh ? target_rate_ : 0.0;
-  if (dt > 0.0) {
-    const double a = 1.0 - std::exp(-dt / cfg_.alignment.road_rate_tau_s);
-    road_rate_ += a * (target - road_rate_);
-  }
+  if (dt > 0.0) road_rate_ += road_gain_(dt) * (target - road_rate_);
   const double raw_steer = gyro - road_rate_ - gyro_bias_;
   if (cfg_.alignment.remove_bias && dt > 0.0 &&
       std::abs(raw_steer) < 0.08) {
-    const double a = 1.0 - std::exp(-dt / cfg_.alignment.bias_tau_s);
-    gyro_bias_ += a * (gyro - road_rate_ - gyro_bias_);
+    gyro_bias_ += bias_gain_(dt) * (gyro - road_rate_ - gyro_bias_);
   }
   const double steer = gyro - road_rate_ - gyro_bias_;
 
@@ -629,14 +593,14 @@ void OnlineGradientEstimator::push_imu_finish(const ImuStep& step) {
   const double dt = step.dt;
   const double steer = step.steer;
   if (dt > 0.0) {
-    odometry_ += fused_speed() * dt;
-    if (baro_anchor_active_) {
-      double v_f = 0.0;
-      double th_f = 0.0;
-      if (fused_state(&v_f, &th_f)) {
-        climb_pred_int_ += v_f * std::sin(th_f) * dt;
-        dist_int_ += v_f * dt;
-      }
+    // With no seeded filter the fused speed is 0: odometry stands still.
+    double v_f = 0.0;
+    double th_f = 0.0;
+    const bool fused = fused_state(&v_f, &th_f);
+    odometry_ += v_f * dt;
+    if (baro_anchor_active_ && fused) {
+      climb_pred_int_ += v_f * std::sin(th_f) * dt;
+      dist_int_ += v_f * dt;
     }
   }
 

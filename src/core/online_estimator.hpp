@@ -34,6 +34,7 @@
 #include "core/grade_ekf.hpp"
 #include "core/lane_change_detector.hpp"
 #include "core/track_fusion.hpp"
+#include "math/ema_gain.hpp"
 #include "obs/obs.hpp"
 #include "sensors/trace.hpp"
 #include "vehicle/params.hpp"
@@ -310,7 +311,7 @@ class OnlineGradientEstimator {
 
     std::optional<GradeEkf> ekf;
     /// Non-null when this source's EKF state lives in a lane of a shared
-    /// SoA batch (OnlineEstimatorBatch) instead of `ekf`. All filter
+    /// SoA store (OnlineEstimatorBatch) instead of `ekf`. All filter
     /// access below goes through the accessors, which dispatch to the
     /// batch lane when attached; with `batch == nullptr` they inline to
     /// the exact legacy GradeEkf calls, so the scalar path is untouched.
@@ -348,22 +349,19 @@ class OnlineGradientEstimator {
 #if RGE_OBS_ENABLED
     // Per-source metric handles (runtime names; the OBS_* macros bind a
     // single static name per site, so they cannot serve <src> suffixes).
+    // The gauges sum over live estimators: a destroyed estimator takes
+    // its share with it.
     obs::Counter c_gate_rejected;
-    obs::Gauge g_r_eff;        ///< milli-(m/s)^2
-    obs::Gauge g_health;       ///< permille
-    obs::Gauge g_quarantined;  ///< 0/1
-    // Last values published to the gauges (gauges are delta-updated; the
-    // registry cell starts at 0, so these must too).
-    std::int64_t r_eff_milli_pub = 0;
-    std::int64_t health_permille_pub = 0;
-    std::int64_t quarantined_pub = 0;
+    obs::GaugeShare g_r_eff;        ///< milli-(m/s)^2
+    obs::GaugeShare g_health;       ///< permille
+    obs::GaugeShare g_quarantined;  ///< 0/1
 #endif
   };
 
   // The SoA fleet driver streams lanes in lockstep: per sample it runs
-  // push_imu_begin on every lane, one lane-parallel EKF predict per
-  // source across all lanes, then push_imu_finish on every lane — the
-  // exact stage order of the scalar push_imu.
+  // push_imu_begin on every lane, one lane-parallel EKF predict over
+  // every lane's source filters, then push_imu_finish on every lane —
+  // the exact stage order of the scalar push_imu.
   friend class OnlineEstimatorBatch;
 
   /// One admitted IMU sample, staged between push_imu's causal front half
@@ -379,10 +377,11 @@ class OnlineGradientEstimator {
   };
   ImuStep push_imu_begin(const sensors::ImuSample& sample);
   void push_imu_finish(const ImuStep& step);
-  /// Re-home the three source filters' EKF state into lane `lane` of the
-  /// given per-source batches (OnlineEstimatorBatch's constructor wiring).
-  void attach_batch(GradeEkfBatch* gps, GradeEkfBatch* speedometer,
-                    GradeEkfBatch* canbus, std::size_t lane);
+  /// Re-home the three source filters' EKF state into one filter store:
+  /// source s (gps, speedometer, canbus) lives at lane `lane + s * stride`
+  /// (OnlineEstimatorBatch's lane wiring).
+  void attach_batch(GradeEkfBatch* store, std::size_t lane,
+                    std::size_t stride);
 
   void on_detector_tick(double now);
   void finalize_sample(std::size_t j);
@@ -398,7 +397,6 @@ class OnlineGradientEstimator {
   double duration_above_walk(std::size_t start_abs, std::size_t end_abs,
                              double peak_mag) const;
   double displacement_walk(std::size_t i0, std::size_t i1) const;
-  double fused_speed() const;
   double current_alpha(double t) const;
   /// Classify `t` against the source's stream clock without mutating it;
   /// the clock advances only when a measurement is actually consumed.
@@ -427,6 +425,8 @@ class OnlineGradientEstimator {
   bool have_imu_ = false;
   double road_rate_ = 0.0;
   double gyro_bias_ = 0.0;
+  math::EmaGain road_gain_;  ///< road-rate EMA (alignment.road_rate_tau_s)
+  math::EmaGain bias_gain_;  ///< gyro-bias EMA (alignment.bias_tau_s)
   double target_rate_ = 0.0;
   double last_rate_update_t_ = -1e9;
   bool have_prev_fix_ = false;

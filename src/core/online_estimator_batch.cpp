@@ -1,29 +1,40 @@
 #include "core/online_estimator_batch.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "runtime/thread_pool.hpp"
 
 namespace rge::core {
 
+namespace {
+
+/// Filter slots per vehicle: gps, speedometer, canbus.
+constexpr std::size_t kSources = 3;
+
+}  // namespace
+
 OnlineEstimatorBatch::OnlineEstimatorBatch(std::size_t lanes,
                                            const vehicle::VehicleParams& params,
                                            const OnlineEstimatorConfig& config)
     : lanes_(lanes),
-      gps_batch_(lanes, params, config.ekf),
-      speedometer_batch_(lanes, params, config.ekf),
-      canbus_batch_(lanes, params, config.ekf),
+      params_(params),
+      config_(config),
+      filters_(kSources * lanes, params, config.ekf),
+      lanes_state_(lanes),
       steps_(lanes),
-      f_(lanes, 0.0),
-      dt_(lanes, 0.0) {
-  lanes_state_.reserve(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    lanes_state_.push_back(
-        std::make_unique<OnlineGradientEstimator>(params, config));
-    lanes_state_.back()->attach_batch(&gps_batch_, &speedometer_batch_,
-                                      &canbus_batch_, i);
-  }
+      f_(kSources * lanes, 0.0),
+      dt_(kSources * lanes, 0.0) {
+  for (std::size_t i = 0; i < lanes; ++i) reset_lane(i);
+}
+
+void OnlineEstimatorBatch::reset_lane(std::size_t lane) {
+  auto& est = lanes_state_.at(lane);
+  est = std::make_unique<OnlineGradientEstimator>(params_, config_);
+  for (std::size_t s = 0; s < kSources; ++s) filters_.reset(s * lanes_ + lane);
+  est->attach_batch(&filters_, lane, lanes_);
 }
 
 void OnlineEstimatorBatch::push_imu(
@@ -61,12 +72,13 @@ void OnlineEstimatorBatch::push_imu(std::span<const sensors::ImuSample> samples,
     f_[i] = advance ? steps_[i].f : 0.0;
     dt_[i] = advance ? steps_[i].dt : 0.0;
   }
-  // Stage 2: one lane-parallel predict per source, in the scalar loop's
-  // source order (the sources' states are independent, but keeping the
-  // order makes the equivalence argument a pure code-motion one).
-  gps_batch_.predict(f_, dt_);
-  speedometer_batch_.predict(f_, dt_);
-  canbus_batch_.predict(f_, dt_);
+  // Stage 2: every source of a lane sees the lane's (f, dt); one
+  // lane-parallel predict over the whole store.
+  for (std::size_t s = 1; s < kSources; ++s) {
+    std::copy_n(f_.begin(), lanes_, f_.begin() + s * lanes_);
+    std::copy_n(dt_.begin(), lanes_, dt_.begin() + s * lanes_);
+  }
+  filters_.predict(f_, dt_);
   // Stage 3: post-predict back half per lane.
   for (std::size_t i = 0; i < lanes_; ++i) {
     if (steps_[i].accepted) lanes_state_[i]->push_imu_finish(steps_[i]);
@@ -115,14 +127,116 @@ namespace {
 
 constexpr std::size_t kDefaultLanesPerBlock = 64;
 
-/// Per-lane read cursors into one trace's streams.
-struct LaneCursor {
+/// Lanes of the store a block streams its traces through. A constant
+/// from a measured curve (DESIGN.md §8), not an option: a wider store
+/// carries more masked lanes through the block's tail and a larger
+/// working set; a narrower one pays the per-step overhead on fewer lanes.
+constexpr std::size_t kStoreLanes = 8;
+
+/// One lane's current vehicle: its trace, its read cursors, and the
+/// earliest timestamp at which one of its measurement streams is due.
+struct LaneFeed {
+  const sensors::SensorTrace* trace = nullptr;  ///< null: lane idle
+  std::size_t slot = 0;                         ///< index of the trace
   std::size_t imu = 0;
   std::size_t gps = 0;
   std::size_t speedo = 0;
   std::size_t canbus = 0;
   std::size_t baro = 0;
+  double due = 0.0;
 };
+
+/// Smallest head timestamp of the lane's measurement streams, +inf when
+/// all are drained. A NaN head never satisfies `t <= imu.t`, so it is
+/// never due and the comparison skips it here too: `due <= imu.t` holds
+/// exactly when some stream's head would be delivered before imu.
+double next_due(const LaneFeed& f) {
+  double due = std::numeric_limits<double>::infinity();
+  const auto head = [&due](const auto& stream, std::size_t i) {
+    if (i < stream.size() && stream[i].t < due) due = stream[i].t;
+  };
+  head(f.trace->gps, f.gps);
+  head(f.trace->speedometer, f.speedo);
+  head(f.trace->canbus_speed, f.canbus);
+  head(f.trace->barometer_alt, f.baro);
+  return due;
+}
+
+/// Streams one block's traces (fleet indices, longest first) through a
+/// refilling store: a lane whose trace ends writes its result and takes
+/// the block's next trace, so lanes idle only once the queue is empty.
+void stream_block(const std::vector<sensors::SensorTrace>& traces,
+                  std::span<const std::size_t> queue,
+                  const vehicle::VehicleParams& params,
+                  const OnlineEstimatorConfig& config,
+                  std::vector<OnlineFleetResult>& results) {
+  const std::size_t lanes = std::min(queue.size(), kStoreLanes);
+  OnlineEstimatorBatch batch(lanes, params, config);
+  std::vector<LaneFeed> feed(lanes);
+  std::vector<sensors::ImuSample> samples(lanes);
+  std::vector<std::uint8_t> active(lanes, 0);
+  std::size_t next = 0;
+  const auto load = [&](LaneFeed& f) {
+    f = LaneFeed{};
+    f.slot = queue[next++];
+    f.trace = &traces[f.slot];
+    f.due = next_due(f);
+  };
+  for (LaneFeed& f : feed) load(f);
+
+  // Lockstep sweep: each round delivers every live lane its next IMU
+  // sample, preceded by that lane's measurements up to the sample's
+  // timestamp (the dispatcher order documented on run_online_batch).
+  for (;;) {
+    bool any = false;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      LaneFeed& f = feed[l];
+      while (f.trace != nullptr && f.imu == f.trace->imu.size()) {
+        results[f.slot] = {batch.estimate(l), batch.lane_changes(l)};
+        f.trace = nullptr;
+        if (next < queue.size()) {
+          batch.reset_lane(l);
+          load(f);
+        }
+      }
+      if (f.trace == nullptr) {
+        active[l] = 0;
+        continue;
+      }
+      any = true;
+      active[l] = 1;
+      const sensors::SensorTrace& tr = *f.trace;
+      const sensors::ImuSample& imu = tr.imu[f.imu++];
+      if (f.due <= imu.t) {
+        while (f.gps < tr.gps.size() && tr.gps[f.gps].t <= imu.t) {
+          batch.push_gps(l, tr.gps[f.gps++]);
+        }
+        while (f.speedo < tr.speedometer.size() &&
+               tr.speedometer[f.speedo].t <= imu.t) {
+          batch.push_speedometer(l, tr.speedometer[f.speedo].t,
+                                 tr.speedometer[f.speedo].value);
+          ++f.speedo;
+        }
+        while (f.canbus < tr.canbus_speed.size() &&
+               tr.canbus_speed[f.canbus].t <= imu.t) {
+          batch.push_canbus(l, tr.canbus_speed[f.canbus].t,
+                            tr.canbus_speed[f.canbus].value);
+          ++f.canbus;
+        }
+        while (f.baro < tr.barometer_alt.size() &&
+               tr.barometer_alt[f.baro].t <= imu.t) {
+          batch.push_baro(l, tr.barometer_alt[f.baro].t,
+                          tr.barometer_alt[f.baro].value);
+          ++f.baro;
+        }
+        f.due = next_due(f);
+      }
+      samples[l] = imu;
+    }
+    if (!any) return;
+    batch.push_imu(samples, active);
+  }
+}
 
 }  // namespace
 
@@ -137,68 +251,28 @@ std::vector<OnlineFleetResult> run_online_batch(
       lanes_per_block == 0 ? kDefaultLanesPerBlock : lanes_per_block;
   const std::size_t n_blocks = (traces.size() + block - 1) / block;
 
+  // Longest first (ties in fleet order), dealt round-robin: block b
+  // streams order[b], order[b + n_blocks], ... — at most `block` traces,
+  // and a mix of long and short ones like every other block.
+  std::vector<std::size_t> order(traces.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const std::size_t na = traces[a].imu.size();
+    const std::size_t nb = traces[b].imu.size();
+    return na != nb ? na > nb : a < b;
+  });
+
   runtime::ThreadPool pool(n_threads);
   runtime::parallel_for(pool, n_blocks, [&](std::size_t b) {
-    const std::size_t lo = b * block;
-    const std::size_t hi = std::min(traces.size(), lo + block);
-    const std::size_t lanes = hi - lo;
+    std::vector<std::size_t> queue;
+    for (std::size_t k = b; k < order.size(); k += n_blocks) {
+      queue.push_back(order[k]);
+    }
     runtime::ScopedTimer timer(metrics != nullptr ? &metrics->ekf_ns
                                                   : nullptr);
-    OnlineEstimatorBatch batch(lanes, params, config);
-    std::vector<LaneCursor> cur(lanes);
-    std::vector<sensors::ImuSample> samples(lanes);
-    std::vector<std::uint8_t> active(lanes, 1);
-
-    // Lockstep sweep: round k delivers each live lane its k-th IMU sample,
-    // preceded by that lane's measurements up to the sample's timestamp
-    // (the dispatcher order documented on run_online_batch). Lanes whose
-    // trace ran out go inactive; their state freezes.
-    bool any = true;
-    while (any) {
-      any = false;
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const sensors::SensorTrace& tr = traces[lo + l];
-        LaneCursor& c = cur[l];
-        if (c.imu >= tr.imu.size()) {
-          active[l] = 0;
-          continue;
-        }
-        any = true;
-        active[l] = 1;
-        const sensors::ImuSample& imu = tr.imu[c.imu++];
-        while (c.gps < tr.gps.size() && tr.gps[c.gps].t <= imu.t) {
-          batch.push_gps(l, tr.gps[c.gps++]);
-        }
-        while (c.speedo < tr.speedometer.size() &&
-               tr.speedometer[c.speedo].t <= imu.t) {
-          batch.push_speedometer(l, tr.speedometer[c.speedo].t,
-                                 tr.speedometer[c.speedo].value);
-          ++c.speedo;
-        }
-        while (c.canbus < tr.canbus_speed.size() &&
-               tr.canbus_speed[c.canbus].t <= imu.t) {
-          batch.push_canbus(l, tr.canbus_speed[c.canbus].t,
-                            tr.canbus_speed[c.canbus].value);
-          ++c.canbus;
-        }
-        while (c.baro < tr.barometer_alt.size() &&
-               tr.barometer_alt[c.baro].t <= imu.t) {
-          batch.push_baro(l, tr.barometer_alt[c.baro].t,
-                          tr.barometer_alt[c.baro].value);
-          ++c.baro;
-        }
-        samples[l] = imu;
-      }
-      if (!any) break;
-      batch.push_imu(samples, active);
-    }
-
-    for (std::size_t l = 0; l < lanes; ++l) {
-      results[lo + l].final_estimate = batch.estimate(l);
-      results[lo + l].lane_changes = batch.lane_changes(l);
-    }
+    stream_block(traces, queue, params, config, results);
     if (metrics != nullptr) {
-      metrics->trips.fetch_add(static_cast<std::int64_t>(lanes),
+      metrics->trips.fetch_add(static_cast<std::int64_t>(queue.size()),
                                std::memory_order_relaxed);
     }
   });

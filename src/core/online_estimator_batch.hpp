@@ -4,18 +4,18 @@
 // Each lane keeps the full scalar OnlineGradientEstimator state (alignment,
 // lane-change detection, the defense layer's gating/quarantine machinery —
 // all inherently per-vehicle and branchy), but the three per-source
-// velocity EKFs are re-homed into shared structure-of-arrays batches
-// (GradeEkfBatch), so the IMU-rate predict step — the fleet hot loop, two
-// orders of magnitude more frequent than any measurement — runs as three
-// lane-parallel vector sweeps instead of 3*N scattered virtual little
-// matrix products.
+// velocity EKFs are re-homed into one structure-of-arrays filter store
+// (a GradeEkfBatch of 3N lanes: source s of vehicle i at lane s*N + i), so
+// the IMU-rate predict step — the fleet hot loop, two orders of magnitude
+// more frequent than any measurement — runs as one lane-parallel vector
+// sweep instead of 3*N scattered little matrix products.
 //
 // Per IMU step the driver runs the exact stage order of the scalar
 // push_imu, hoisted across lanes:
 //   1. push_imu_begin on every lane: admission, causal alignment, the
 //      lane-change force projection — produces (f, dt) per lane;
-//   2. one GradeEkfBatch::predict per source (gps, speedometer, canbus —
-//      the scalar loop's order) over all lanes;
+//   2. one GradeEkfBatch::predict over every source of every lane (the
+//      sources' filters are independent, so their order does not matter);
 //   3. push_imu_finish on every lane: odometry, baro integrals, detection
 //      buffer, maneuver confirmation.
 // Measurement pushes (GPS/speedometer/CAN/baro) stay scalar per lane and
@@ -55,6 +55,11 @@ class OnlineEstimatorBatch {
 
   std::size_t lanes() const { return lanes_; }
 
+  /// Hand `lane` to a new vehicle: a fresh OnlineGradientEstimator, and
+  /// the lane's filter slots back in their constructed state. The lane
+  /// then behaves exactly like a lane of a newly constructed batch.
+  void reset_lane(std::size_t lane);
+
   /// Lockstep IMU step: samples[i] feeds lane i. Spans must cover
   /// lanes(). The overload with `active` skips lanes whose mask byte is 0
   /// entirely (their streams are not advanced) — used by fleet drivers
@@ -78,15 +83,16 @@ class OnlineEstimatorBatch {
 
  private:
   std::size_t lanes_ = 0;
-  GradeEkfBatch gps_batch_;
-  GradeEkfBatch speedometer_batch_;
-  GradeEkfBatch canbus_batch_;
-  // Per-lane scalar state. unique_ptr because OnlineGradientEstimator is
-  // not movable (the attach_batch wiring also must never see its lanes
-  // relocate); construction-time only, the hot path never touches the
-  // allocator.
+  vehicle::VehicleParams params_;
+  OnlineEstimatorConfig config_;
+  /// Every lane's three source filters: source s of lane i at s*lanes_ + i.
+  GradeEkfBatch filters_;
+  // Per-lane scalar state. unique_ptr so an estimator never relocates
+  // while attached to filters_; allocated at construction and by
+  // reset_lane only, the push_imu hot path never touches the allocator.
   std::vector<std::unique_ptr<OnlineGradientEstimator>> lanes_state_;
   // Lockstep scratch, sized at construction (zero-alloc steady state).
+  // f_ and dt_ cover all 3*lanes_ filter slots.
   std::vector<OnlineGradientEstimator::ImuStep> steps_;
   std::vector<double> f_;
   std::vector<double> dt_;
@@ -98,18 +104,24 @@ struct OnlineFleetResult {
   std::vector<DetectedLaneChange> lane_changes;
 };
 
-/// Fleet driver: streams every trace through SoA batch estimators,
-/// lanes_per_block vehicles per OnlineEstimatorBatch, blocks distributed
-/// over a runtime::ThreadPool. Each lane merges its trace's streams in
-/// timestamp order (all GPS fixes with t <= imu.t, then speedometer, then
-/// CAN, then barometer, then the IMU sample — the order the app's
-/// dispatcher would deliver them); lanes beyond a trace's end go inactive,
-/// so traces of different lengths batch fine. Lanes are independent, so
-/// results are identical for any n_threads and any lanes_per_block
-/// grouping. n_threads == 0 picks hardware concurrency; lanes_per_block
-/// == 0 picks the default block size. Per-stage wall time is accumulated
-/// into *metrics when non-null (ekf_ns carries the lockstep streaming
-/// loop; trips counts vehicles).
+/// Streams a fleet's traces through SoA batch estimators in blocks of
+/// up to lanes_per_block vehicles, the unit of parallel work;
+/// blocks are distributed over a runtime::ThreadPool, and a call whose
+/// traces fit one block runs on the caller alone. Traces are sorted by
+/// IMU sample count, longest first, and dealt round-robin to the blocks,
+/// so every block gets a similar mix of long and short traces. A block
+/// streams its traces through one OnlineEstimatorBatch of at most 8
+/// lanes, longest first: when a lane's trace ends, its result is written
+/// and the lane is reset for the block's next trace (DESIGN.md §8).
+/// Each lane merges its trace's streams in timestamp order (all GPS
+/// fixes with t <= imu.t, then speedometer, then CAN, then barometer,
+/// then the IMU sample — the order the app's dispatcher would deliver
+/// them). Lanes are independent, so results are identical for any
+/// n_threads and any lanes_per_block, and result i always belongs to
+/// traces[i]. n_threads == 0 picks hardware concurrency; lanes_per_block
+/// == 0 picks 64. Per-stage wall time is accumulated into *metrics when
+/// non-null (ekf_ns carries the lockstep streaming loop; trips counts
+/// vehicles).
 std::vector<OnlineFleetResult> run_online_batch(
     const std::vector<sensors::SensorTrace>& traces,
     const vehicle::VehicleParams& params,

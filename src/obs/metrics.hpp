@@ -24,6 +24,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace rge::obs {
@@ -159,6 +160,37 @@ class Gauge {
 
  private:
   std::uint32_t cell_;
+};
+
+/// One object's share of a gauge summed over many objects (e.g. the
+/// health of every live estimator's GPS filter). set() publishes the
+/// change from the last value set; destruction withdraws the share, so
+/// the gauge counts live objects only. Moving hands the share over.
+class GaugeShare {
+ public:
+  explicit GaugeShare(std::string_view name) : gauge_(name) {}
+  GaugeShare(GaugeShare&& other) noexcept
+      : gauge_(other.gauge_), value_(std::exchange(other.value_, 0)) {}
+  GaugeShare& operator=(GaugeShare&& other) noexcept {
+    if (this != &other) {
+      set(0);
+      gauge_ = other.gauge_;
+      value_ = std::exchange(other.value_, 0);
+    }
+    return *this;
+  }
+  GaugeShare(const GaugeShare&) = delete;
+  GaugeShare& operator=(const GaugeShare&) = delete;
+  ~GaugeShare() { set(0); }
+
+  void set(std::int64_t value) {
+    if (value != value_) gauge_.add(value - value_);
+    value_ = value;
+  }
+
+ private:
+  Gauge gauge_;
+  std::int64_t value_ = 0;  ///< the share currently in the gauge
 };
 
 /// Fixed-bucket histogram. `bounds` are ascending upper bounds; a value

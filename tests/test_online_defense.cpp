@@ -13,15 +13,19 @@
 //    failed probe re-arms the hold, readmit_probes consecutive passes
 //    readmit on probation health;
 //  * quarantined sources are excluded from fusion while any healthy
-//    source exists (mask contract of OnlineEstimate).
+//    source exists (mask contract of OnlineEstimate);
+//  * the per-source health / R_eff / quarantine gauges sum over live
+//    estimators only.
 #include "core/online_estimator.hpp"
 
 #include <cmath>
 #include <iostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/evaluation.hpp"
+#include "obs/obs.hpp"
 #include "road/network.hpp"
 #include "sensors/smartphone.hpp"
 #include "testing/fault_injection.hpp"
@@ -313,6 +317,41 @@ TEST(OnlineDefense, AllQuarantinedFallsBackToFusingEverything) {
   EXPECT_NE(e.sources_fused_mask, 0);
   EXPECT_EQ(e.sources_fused_mask, e.sources_quarantined_mask);
 }
+
+#if RGE_OBS_ENABLED
+TEST(OnlineDefense, SourceGaugesCountLiveEstimatorsOnly) {
+  obs::reset_all();
+  obs::set_enabled(true);
+  const auto gauge = [](const std::string& name) {
+    const auto snap = obs::Registry::global().snapshot();
+    const auto it = snap.gauges.find(name);
+    return it == snap.gauges.end() ? std::int64_t{0} : it->second;
+  };
+  // Three estimators in turn, each fed 1 s of IMU and speedometer samples
+  // (and a quarantined CAN bus), then destroyed.
+  for (int k = 0; k < 3; ++k) {
+    OnlineGradientEstimator est(vehicle::VehicleParams{});
+    for (int i = 0; i < 50; ++i) {
+      const double t = 0.02 * i;
+      if (i % 5 == 0) est.push_speedometer(t, 10.0);
+      sensors::ImuSample imu;
+      imu.t = t;
+      imu.accel_vertical = 9.81;
+      est.push_imu(imu);
+    }
+    quarantine_canbus(est, 1.0);
+    EXPECT_EQ(gauge("online.health.speedometer"), 1000) << "estimator " << k;
+    EXPECT_EQ(gauge("online.r_eff.speedometer"), 160) << "estimator " << k;
+    EXPECT_EQ(gauge("online.quarantined.canbus"), 1) << "estimator " << k;
+  }
+  EXPECT_EQ(gauge("online.health.speedometer"), 0);
+  EXPECT_EQ(gauge("online.r_eff.speedometer"), 0);
+  EXPECT_EQ(gauge("online.health.canbus"), 0);
+  EXPECT_EQ(gauge("online.quarantined.canbus"), 0);
+  obs::set_enabled(false);
+  obs::reset_all();
+}
+#endif
 
 }  // namespace
 }  // namespace rge::core

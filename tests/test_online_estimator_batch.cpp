@@ -6,6 +6,10 @@
 //     exactly equal) with RGE_SIMD=ON;
 //   * fleet results are bit-identical for any thread count and any
 //     lanes-per-block grouping, and invariant under lane permutation;
+//   * the refilling lane store: a fleet with more traces than lanes
+//     (empty, one-sample and equal-length traces included) streams to
+//     the same bits at every thread count and block size, and a lane
+//     reset for a new trace behaves exactly like a fresh lane;
 //   * the lockstep push_imu hot path performs zero heap allocations at
 //     steady state (same global-new counting as the scalar test).
 #include "core/online_estimator_batch.hpp"
@@ -33,10 +37,17 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: where GCC inlines a delete into a caller it flags the
+// free() against the (not inlined) operator new it pairs with
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace rge::core {
 namespace {
@@ -115,6 +126,70 @@ void expect_lane_changes_equal(const std::vector<DetectedLaneChange>& a,
   }
 }
 
+/// Every field of two estimates equal bit for bit (lanes of the batch
+/// layer in either SIMD mode).
+void expect_estimate_bits(const OnlineEstimate& a, const OnlineEstimate& b,
+                          const std::string& label) {
+  EXPECT_EQ(a.t, b.t) << label;
+  EXPECT_EQ(a.grade_rad, b.grade_rad) << label;
+  EXPECT_EQ(a.grade_var, b.grade_var) << label;
+  EXPECT_EQ(a.speed_mps, b.speed_mps) << label;
+  EXPECT_EQ(a.odometry_m, b.odometry_m) << label;
+  EXPECT_EQ(a.in_lane_change, b.in_lane_change) << label;
+  EXPECT_EQ(a.lane_changes_detected, b.lane_changes_detected) << label;
+  EXPECT_EQ(a.sources_fused_mask, b.sources_fused_mask) << label;
+  EXPECT_EQ(a.sources_quarantined_mask, b.sources_quarantined_mask)
+      << label;
+}
+
+/// Lockstep drive of one OnlineEstimatorBatch: lane l streams
+/// *lane_traces[l] in run_online_batch's merge order; a null entry keeps
+/// the lane inactive. Lanes whose trace ran out go inactive.
+void drive_lanes(OnlineEstimatorBatch& batch,
+                 const std::vector<const sensors::SensorTrace*>& lane_traces) {
+  const std::size_t n = lane_traces.size();
+  std::vector<std::size_t> gi(n), si(n), ci(n), bi(n), ii(n);
+  std::vector<sensors::ImuSample> samples(n);
+  std::vector<std::uint8_t> active(n, 1);
+  bool any = true;
+  while (any) {
+    any = false;
+    for (std::size_t l = 0; l < n; ++l) {
+      const sensors::SensorTrace* tr = lane_traces[l];
+      if (tr == nullptr || ii[l] >= tr->imu.size()) {
+        active[l] = 0;
+        continue;
+      }
+      any = true;
+      active[l] = 1;
+      const auto& imu = tr->imu[ii[l]++];
+      while (gi[l] < tr->gps.size() && tr->gps[gi[l]].t <= imu.t) {
+        batch.push_gps(l, tr->gps[gi[l]++]);
+      }
+      while (si[l] < tr->speedometer.size() &&
+             tr->speedometer[si[l]].t <= imu.t) {
+        batch.push_speedometer(l, tr->speedometer[si[l]].t,
+                               tr->speedometer[si[l]].value);
+        ++si[l];
+      }
+      while (ci[l] < tr->canbus_speed.size() &&
+             tr->canbus_speed[ci[l]].t <= imu.t) {
+        batch.push_canbus(l, tr->canbus_speed[ci[l]].t,
+                          tr->canbus_speed[ci[l]].value);
+        ++ci[l];
+      }
+      while (bi[l] < tr->barometer_alt.size() &&
+             tr->barometer_alt[bi[l]].t <= imu.t) {
+        batch.push_baro(l, tr->barometer_alt[bi[l]].t,
+                        tr->barometer_alt[bi[l]].value);
+        ++bi[l];
+      }
+      samples[l] = imu;
+    }
+    if (any) batch.push_imu(samples, active);
+  }
+}
+
 /// All scenario traces as one heterogeneous fleet (different lengths, so
 /// lanes go inactive at different rounds).
 std::vector<sensors::SensorTrace> scenario_fleet() {
@@ -171,47 +246,9 @@ TEST(OnlineEstimatorBatch, DirectBatchMatchesScalarWithDiagnostics) {
   const vehicle::VehicleParams params{};
   const OnlineEstimatorConfig config{};
   OnlineEstimatorBatch batch(traces.size(), params, config);
-  std::vector<std::size_t> gi(traces.size()), si(traces.size()),
-      ci(traces.size()), bi(traces.size()), ii(traces.size());
-  std::vector<sensors::ImuSample> samples(traces.size());
-  std::vector<std::uint8_t> active(traces.size(), 1);
-  bool any = true;
-  while (any) {
-    any = false;
-    for (std::size_t l = 0; l < traces.size(); ++l) {
-      const auto& tr = traces[l];
-      if (ii[l] >= tr.imu.size()) {
-        active[l] = 0;
-        continue;
-      }
-      any = true;
-      active[l] = 1;
-      const auto& imu = tr.imu[ii[l]++];
-      while (gi[l] < tr.gps.size() && tr.gps[gi[l]].t <= imu.t) {
-        batch.push_gps(l, tr.gps[gi[l]++]);
-      }
-      while (si[l] < tr.speedometer.size() &&
-             tr.speedometer[si[l]].t <= imu.t) {
-        batch.push_speedometer(l, tr.speedometer[si[l]].t,
-                               tr.speedometer[si[l]].value);
-        ++si[l];
-      }
-      while (ci[l] < tr.canbus_speed.size() &&
-             tr.canbus_speed[ci[l]].t <= imu.t) {
-        batch.push_canbus(l, tr.canbus_speed[ci[l]].t,
-                          tr.canbus_speed[ci[l]].value);
-        ++ci[l];
-      }
-      while (bi[l] < tr.barometer_alt.size() &&
-             tr.barometer_alt[bi[l]].t <= imu.t) {
-        batch.push_baro(l, tr.barometer_alt[bi[l]].t,
-                        tr.barometer_alt[bi[l]].value);
-        ++bi[l];
-      }
-      samples[l] = imu;
-    }
-    if (any) batch.push_imu(samples, active);
-  }
+  std::vector<const sensors::SensorTrace*> lane_traces;
+  for (const auto& tr : traces) lane_traces.push_back(&tr);
+  drive_lanes(batch, lane_traces);
 
   for (std::size_t l = 0; l < traces.size(); ++l) {
     OnlineGradientEstimator scalar(params, config);
@@ -273,8 +310,10 @@ TEST(OnlineEstimatorBatch, LanePermutationInvarianceBitExact) {
   const vehicle::VehicleParams params{};
   const auto ref = run_online_batch(traces, params, {}, 1, 0);
 
-  // Reverse the fleet: lane i now carries trace n-1-i, inside one block so
-  // vehicles genuinely swap SoA lanes.
+  // Reverse the fleet: result i must follow trace n-1-i. run_online_batch
+  // picks each vehicle's lane itself (longest first), so this pins the
+  // schedule against input order; PermutedLaneAssignmentBitExact moves
+  // vehicles between SoA lanes directly.
   std::vector<sensors::SensorTrace> reversed(traces.rbegin(), traces.rend());
   const auto out =
       run_online_batch(reversed, params, {}, 1, reversed.size());
@@ -291,6 +330,129 @@ TEST(OnlineEstimatorBatch, LanePermutationInvarianceBitExact) {
     expect_lane_changes_equal(out[i].lane_changes,
                               ref[n - 1 - i].lane_changes,
                               "lane " + std::to_string(i));
+  }
+}
+
+/// More traces than the lane store holds, in uneven lengths: the scenario
+/// fleet, a prefix of every trace, three traces cut to one shared length,
+/// a one-sample trace and a trace with no IMU samples at all (its
+/// measurements must never be delivered). Measurement streams are kept
+/// whole; both run_online_batch and the scalar reference deliver only
+/// those due by the last IMU sample.
+std::vector<sensors::SensorTrace> uneven_fleet() {
+  const auto base = scenario_fleet();
+  std::vector<sensors::SensorTrace> traces = base;
+  for (const auto& tr : base) {
+    traces.push_back(tr);
+    traces.back().imu.resize(tr.imu.size() * 2 / 5);
+  }
+  for (std::size_t k = 0; k < 3; ++k) {
+    traces.push_back(base[k]);
+    traces.back().imu.resize(2000);
+  }
+  traces.push_back(base[0]);
+  traces.back().imu.resize(1);
+  traces.push_back(base[1]);
+  traces.back().imu.clear();
+  return traces;
+}
+
+TEST(OnlineEstimatorBatch, RefillParityAcrossThreadsAndBlocks) {
+  const auto traces = uneven_fleet();
+  ASSERT_GT(traces.size(), 16u);
+  const vehicle::VehicleParams params{};
+  const OnlineEstimatorConfig config{};
+  std::vector<OnlineGradientEstimator> scalar;
+  scalar.reserve(traces.size());
+  for (const auto& tr : traces) {
+    scalar.emplace_back(params, config);
+    stream_trace(scalar.back(), tr);
+  }
+  const auto ref = run_online_batch(traces, params, config, 1, 64);
+  ASSERT_EQ(ref.size(), traces.size());
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    const std::string label = "trace " + std::to_string(i);
+    expect_estimate_parity(ref[i].final_estimate, scalar[i].estimate(),
+                           label);
+    expect_lane_changes_equal(ref[i].lane_changes, scalar[i].lane_changes(),
+                              label);
+  }
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (const std::size_t block : {1u, 3u, 16u, 64u}) {
+      const auto out =
+          run_online_batch(traces, params, config, threads, block);
+      ASSERT_EQ(out.size(), ref.size());
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        const std::string label = "threads=" + std::to_string(threads) +
+                                  " block=" + std::to_string(block) +
+                                  " trace " + std::to_string(i);
+        expect_estimate_bits(out[i].final_estimate, ref[i].final_estimate,
+                             label);
+        expect_lane_changes_equal(out[i].lane_changes, ref[i].lane_changes,
+                                  label);
+      }
+    }
+  }
+}
+
+TEST(OnlineEstimatorBatch, PermutedLaneAssignmentBitExact) {
+  // run_online_batch picks the lane order itself; here the caller does.
+  const auto traces = scenario_fleet();
+  ASSERT_GE(traces.size(), 6u);
+  const std::size_t n = 6;
+  const vehicle::VehicleParams params{};
+  const std::size_t perm[n] = {3, 5, 0, 4, 1, 2};
+  std::vector<const sensors::SensorTrace*> identity;
+  std::vector<const sensors::SensorTrace*> permuted;
+  for (std::size_t l = 0; l < n; ++l) {
+    identity.push_back(&traces[l]);
+    permuted.push_back(&traces[perm[l]]);
+  }
+  OnlineEstimatorBatch a(n, params);
+  OnlineEstimatorBatch b(n, params);
+  drive_lanes(a, identity);
+  drive_lanes(b, permuted);
+  for (std::size_t l = 0; l < n; ++l) {
+    const std::string label = "trace " + std::to_string(perm[l]);
+    expect_estimate_bits(b.estimate(l), a.estimate(perm[l]), label);
+    expect_lane_changes_equal(b.lane_changes(l), a.lane_changes(perm[l]),
+                              label);
+    EXPECT_EQ(b.accel_bias_estimate(l), a.accel_bias_estimate(perm[l]))
+        << label;
+  }
+}
+
+TEST(OnlineEstimatorBatch, RefilledLaneMatchesFreshLane) {
+  const auto traces = scenario_fleet();
+  ASSERT_GE(traces.size(), 3u);
+  const vehicle::VehicleParams params{};
+  const sensors::SensorTrace& a = traces[0];
+  const sensors::SensorTrace& b = traces[1];
+  const sensors::SensorTrace& other = traces[2];
+
+  // Trace a, then trace b through lane 0, next to a busy lane 1.
+  OnlineEstimatorBatch refilled(2, params);
+  drive_lanes(refilled, {&a, &other});
+  refilled.reset_lane(0);
+  drive_lanes(refilled, {&b, nullptr});
+
+  OnlineEstimatorBatch fresh(2, params);
+  drive_lanes(fresh, {&b, nullptr});
+
+  expect_estimate_bits(refilled.estimate(0), fresh.estimate(0), "lane 0");
+  expect_lane_changes_equal(refilled.lane_changes(0), fresh.lane_changes(0),
+                            "lane 0");
+  EXPECT_EQ(refilled.accel_bias_estimate(0), fresh.accel_bias_estimate(0));
+  for (const auto which : {VelocitySource::kGps, VelocitySource::kSpeedometer,
+                           VelocitySource::kCanbus}) {
+    const auto dr = refilled.source_diagnostics(0, which);
+    const auto df = fresh.source_diagnostics(0, which);
+    EXPECT_EQ(dr.seeded, df.seeded);
+    EXPECT_EQ(dr.quarantined, df.quarantined);
+    EXPECT_EQ(dr.health, df.health);
+    EXPECT_EQ(dr.r_eff, df.r_eff);
+    EXPECT_EQ(dr.accepted, df.accepted);
+    EXPECT_EQ(dr.gate_rejected, df.gate_rejected);
   }
 }
 
