@@ -1,24 +1,30 @@
 // Bit pins for the survey path: FNV-1a fingerprints over every output
 // array of estimate_gradient on two seeded trips, and over
 // CsrGraph::potential for every node pair and metric on the stitched
-// 164.8 km city network.
+// 164.8 km city network. OnlinePins does the same for the streaming
+// OnlineGradientEstimator over every scenario's first trip, clean and
+// under the three faults its defense layer sees.
 //
 // The fingerprints hash raw IEEE-754 bits, so any rewrite of the
-// resampling, alignment or landmark code that moves a single output bit
-// fails here. Change a pin only for a deliberate numerical change, and
-// record why in the change log.
+// resampling, alignment, landmark or online filter code that moves a
+// single output bit fails here. Change a pin only for a deliberate
+// numerical change, and record why in the change log.
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/online_estimator.hpp"
 #include "core/pipeline.hpp"
 #include "planning/city_gen.hpp"
 #include "planning/csr_graph.hpp"
 #include "road/network.hpp"
 #include "sensors/smartphone.hpp"
+#include "testing/fault_injection.hpp"
 #include "testing/network_survey.hpp"
+#include "testing/scenario.hpp"
 #include "vehicle/trip.hpp"
 
 namespace rge {
@@ -50,6 +56,18 @@ class Fnv1a {
   std::uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
+void hash_lane_changes(Fnv1a& h,
+                       const std::vector<core::DetectedLaneChange>& lcs) {
+  h.u64(lcs.size());
+  for (const auto& lc : lcs) {
+    h.f64(lc.t_start);
+    h.f64(lc.t_end);
+    h.u64(static_cast<std::uint64_t>(lc.type));
+    h.f64(lc.displacement_m);
+    h.f64(lc.peak_rate);
+  }
+}
+
 void hash_track(Fnv1a& h, const core::GradeTrack& tr) {
   h.str(tr.source);
   h.f64s(tr.t);
@@ -79,14 +97,7 @@ std::uint64_t fingerprint(const core::PipelineResult& r) {
   h.f64s(r.det_steer_raw);
   h.f64s(r.det_steer_smoothed);
   h.f64s(r.det_speed);
-  h.u64(r.lane_changes.size());
-  for (const auto& lc : r.lane_changes) {
-    h.f64(lc.t_start);
-    h.f64(lc.t_end);
-    h.u64(static_cast<std::uint64_t>(lc.type));
-    h.f64(lc.displacement_m);
-    h.f64(lc.peak_rate);
-  }
+  hash_lane_changes(h, r.lane_changes);
   h.u64(r.tracks.size());
   for (const auto& tr : r.tracks) hash_track(h, tr);
   hash_track(h, r.fused);
@@ -151,6 +162,147 @@ TEST(SurveyPins, LandmarkPotentialsOnCityNetwork) {
     }
     EXPECT_EQ(h.value(), pins[mi]) << planning::metric_name(m);
   }
+}
+
+void hash_estimate(Fnv1a& h, const core::OnlineEstimate& e) {
+  h.f64(e.t);
+  h.f64(e.grade_rad);
+  h.f64(e.grade_var);
+  h.f64(e.speed_mps);
+  h.f64(e.odometry_m);
+  h.u64(e.in_lane_change ? 1 : 0);
+  h.u64(e.lane_changes_detected);
+  h.u64(e.sources_fused_mask);
+  h.u64(e.sources_quarantined_mask);
+}
+
+/// What one stream exercised, so the pins are known to cover the defense
+/// layer and the detector.
+struct StreamCoverage {
+  std::uint64_t gate_rejected = 0;
+  std::size_t lane_changes = 0;
+  bool accel_bias = false;  ///< the bias estimate ended non-zero
+};
+
+/// Streams `trace` through a fresh estimator in run_online_batch's merge
+/// order (every GPS fix, speedometer, CAN and barometer sample with
+/// t <= imu.t, then the IMU sample) and hashes every 25th estimate, the
+/// final estimate, the lane changes, all three sources' diagnostics and
+/// the accel-bias estimate.
+StreamCoverage hash_online_stream(Fnv1a& h, const sensors::SensorTrace& trace,
+                                  const core::OnlineEstimatorConfig& cfg) {
+  core::OnlineGradientEstimator est(vehicle::VehicleParams{}, cfg);
+  StreamCoverage cov;
+  std::size_t gi = 0, si = 0, ci = 0, bi = 0, step = 0;
+  for (const auto& imu : trace.imu) {
+    while (gi < trace.gps.size() && trace.gps[gi].t <= imu.t) {
+      est.push_gps(trace.gps[gi++]);
+    }
+    while (si < trace.speedometer.size() && trace.speedometer[si].t <= imu.t) {
+      est.push_speedometer(trace.speedometer[si].t,
+                           trace.speedometer[si].value);
+      ++si;
+    }
+    while (ci < trace.canbus_speed.size() &&
+           trace.canbus_speed[ci].t <= imu.t) {
+      est.push_canbus(trace.canbus_speed[ci].t, trace.canbus_speed[ci].value);
+      ++ci;
+    }
+    while (bi < trace.barometer_alt.size() &&
+           trace.barometer_alt[bi].t <= imu.t) {
+      est.push_baro(trace.barometer_alt[bi].t, trace.barometer_alt[bi].value);
+      ++bi;
+    }
+    est.push_imu(imu);
+    if (++step % 25 == 0) hash_estimate(h, est.estimate());
+  }
+  hash_estimate(h, est.estimate());
+  hash_lane_changes(h, est.lane_changes());
+  for (const auto which :
+       {core::VelocitySource::kGps, core::VelocitySource::kSpeedometer,
+        core::VelocitySource::kCanbus}) {
+    const core::SourceDiagnostics d = est.source_diagnostics(which);
+    h.u64(d.seeded ? 1 : 0);
+    h.u64(d.quarantined ? 1 : 0);
+    h.f64(d.health);
+    h.f64(d.nis_ewma);
+    h.f64(d.bias_ewma);
+    h.f64(d.r_eff);
+    h.u64(d.accepted);
+    h.u64(d.gate_rejected);
+    cov.gate_rejected += d.gate_rejected;
+  }
+  h.f64(est.accel_bias_estimate());
+  cov.lane_changes = est.lane_changes().size();
+  cov.accel_bias = est.accel_bias_estimate() != 0.0;
+  return cov;
+}
+
+TEST(OnlinePins, ScenarioStreamsCleanAndFaulted) {
+  // Per scenario, trip 0 clean and under the three faults the velocity
+  // gate sees, through the default (defended, incremental) estimator and
+  // through the reference configuration (defense off, full re-scan
+  // detection). Standalone estimators predict with libm, so one value
+  // per pin holds with RGE_SIMD on and off.
+  struct Pin {
+    std::uint64_t defended;
+    std::uint64_t reference;
+  };
+  const std::map<std::string, Pin> pins = {
+      {"flat_baseline", {0x36cf7edb09075442ull, 0xbd51338198c9d870ull}},
+      {"table3_nominal", {0xe6f140b270fa3e53ull, 0xaca04be3f5055efdull}},
+      {"hilly_steep", {0x4c8a66626656660eull, 0x21f3063f3d5e75a6ull}},
+      {"rolling_hills_calm", {0xb603e2139da329a3ull, 0x6852bc796797761cull}},
+      {"lane_change_storm", {0xd7da0661c23d3f61ull, 0x5298c0c230c61411ull}},
+      {"stop_and_go", {0x4a05bb620ec9195full, 0xada80d25a18d8c16ull}},
+      {"noisy_phone", {0x97f2d873e918a9eeull, 0x055a072174bea80cull}},
+      {"gps_degraded", {0xc9edb45d6ea98e92ull, 0x0487a317d5220199ull}},
+      {"highway_cruise", {0xdb64106f294ac556ull, 0xd48bc4977a7d8884ull}},
+      {"rts_offline", {0x2419b775552e720eull, 0x147c0e87d5cf445dull}},
+      {"cloud_fusion_x3", {0x92b40b913aebea59ull, 0xa4f9e921a5e91a0full}},
+      {"hostile_canyon_switchbacks",
+       {0x1d66b09680be636cull, 0x74e174318260fcb9ull}},
+      {"hostile_steep_canyon", {0x865241eec07c6d0eull, 0x03419272894907bfull}},
+      {"hostile_tunnel_canyon",
+       {0xfb3631fc30714314ull, 0x377067b0924c3015ull}},
+  };
+  const testing::FaultKind faults[] = {
+      testing::FaultKind::kNone, testing::FaultKind::kAccelBiasRamp,
+      testing::FaultKind::kGpsSpoofJump, testing::FaultKind::kStuckSensor};
+  core::OnlineEstimatorConfig reference;
+  reference.defense.enabled = false;
+  reference.incremental_detection = false;
+
+  StreamCoverage total;
+  std::size_t streams = 0;
+  std::size_t biased = 0;
+  const auto matrix = testing::scenario_matrix();
+  for (const auto& spec : matrix) {
+    const auto world = testing::build_world(spec);
+    ASSERT_FALSE(world.traces.empty()) << spec.name;
+    Fnv1a defended;
+    Fnv1a undefended;
+    for (const testing::FaultKind kind : faults) {
+      sensors::SensorTrace trace = world.traces.front();
+      testing::apply_fault(trace, testing::make_fault(kind));
+      const StreamCoverage cov = hash_online_stream(defended, trace, {});
+      hash_online_stream(undefended, trace, reference);
+      total.gate_rejected += cov.gate_rejected;
+      total.lane_changes += cov.lane_changes;
+      if (cov.accel_bias) ++biased;
+      ++streams;
+    }
+    const auto pin = pins.find(spec.name);
+    ASSERT_NE(pin, pins.end()) << spec.name << " has no pin";
+    EXPECT_EQ(defended.value(), pin->second.defended) << spec.name;
+    EXPECT_EQ(undefended.value(), pin->second.reference) << spec.name;
+  }
+  EXPECT_EQ(pins.size(), matrix.size());
+  // The defended streams reach the gate and the detector, and the bias
+  // compensator on every stream.
+  EXPECT_GT(total.gate_rejected, 0u);
+  EXPECT_GT(total.lane_changes, 0u);
+  EXPECT_EQ(biased, streams);
 }
 
 }  // namespace
