@@ -23,7 +23,6 @@
 #include "math/interp.hpp"
 #include "math/interp_batch.hpp"
 #include "math/loess.hpp"
-#include "math/loess_batch.hpp"
 #include "math/matrix.hpp"
 #include "math/rng.hpp"
 #include "math/simd.hpp"
@@ -200,62 +199,6 @@ void BM_GradeEkfFleetBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_GradeEkfFleetBatch);
 
-constexpr std::size_t kLoessSeries = 64;
-constexpr std::size_t kLoessPoints = 400;
-
-struct LoessFleetInputs {
-  std::vector<double> x;
-  std::vector<double> ys;
-  math::LoessConfig cfg;
-};
-
-const LoessFleetInputs& loess_fleet_inputs() {
-  static const LoessFleetInputs in = [] {
-    LoessFleetInputs r;
-    math::Rng rng(7);
-    r.x.resize(kLoessPoints);
-    double t = 0.0;
-    for (auto& xi : r.x) {
-      t += rng.uniform(0.01, 0.05);
-      xi = t;
-    }
-    r.ys.resize(kLoessSeries * kLoessPoints);
-    for (auto& y : r.ys) y = rng.gaussian(0.0, 1.0);
-    r.cfg.span = 0.2;
-    return r;
-  }();
-  return in;
-}
-
-void BM_LoessFleetScalar(benchmark::State& state) {
-  const auto& in = loess_fleet_inputs();
-  const math::LoessSmoother smoother(in.cfg);
-  for (auto _ : state) {
-    double sum = 0.0;
-    for (std::size_t b = 0; b < kLoessSeries; ++b) {
-      const auto fit = smoother.fit(
-          in.x, std::span<const double>(in.ys).subspan(b * kLoessPoints,
-                                                       kLoessPoints));
-      sum += fit.back();
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kLoessSeries * kLoessPoints));
-}
-BENCHMARK(BM_LoessFleetScalar);
-
-void BM_LoessFleetBatch(benchmark::State& state) {
-  const auto& in = loess_fleet_inputs();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        math::loess_fit_batch(in.cfg, in.x, in.ys, kLoessSeries));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kLoessSeries * kLoessPoints));
-}
-BENCHMARK(BM_LoessFleetBatch);
-
 constexpr std::size_t kInterpKeys = 20000;
 constexpr std::size_t kInterpQueries = 50000;
 
@@ -342,8 +285,6 @@ void write_bench_json(const std::map<std::string, double>& ns_per_op) {
   doc["simd"] = math::simd_enabled();
   doc["workload"] = rge::testing::Json::Object{
       {"fleet_lanes", kFleetLanes},
-      {"loess_series", kLoessSeries},
-      {"loess_points", kLoessPoints},
       {"interp_keys", kInterpKeys},
       {"interp_queries", kInterpQueries},
   };
@@ -357,7 +298,6 @@ void write_bench_json(const std::map<std::string, double>& ns_per_op) {
   };
   speedup("BM_GradeEkfFleetScalar", "BM_GradeEkfFleetBatch",
           "ekf_fleet_predict");
-  speedup("BM_LoessFleetScalar", "BM_LoessFleetBatch", "loess_fleet");
   speedup("BM_ResampleScalar", "BM_ResampleBatch", "interp_resample");
   const char* out = std::getenv("RGE_BENCH_MICRO_OUT");
   rge::testing::write_json_file(rge::testing::Json(doc),

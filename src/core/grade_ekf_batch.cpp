@@ -162,14 +162,10 @@ void GradeEkfBatch::predict_masked(std::span<const double> specific_force,
 
 #if !RGE_SIMD_ENABLED
   // Scalar fallback: the exact shared kernel per lane — bit-identical to
-  // stepping N GradeEkf instances.
+  // stepping N GradeEkf instances. Only this branch calls predict_lane,
+  // so the kernel-flag build of this file never emits a copy of it.
   for (std::size_t i = 0; i < lanes_; ++i) {
-    if (on_pad_[i] == 0.0) continue;
-    ekf_kernel::StateRef s{v_[i], th_[i], p00_[i], p01_[i], p11_[i]};
-    ekf_kernel::predict(
-        s, f_pad_[i], dt_pad_[i], g_, c_, drift_, cfg_.accel_sigma,
-        cfg_.grade_process_psd, [](double x) { return std::sin(x); },
-        [](double x) { return std::cos(x); });
+    if (on_pad_[i] != 0.0) predict_lane(i, f_pad_[i], dt_pad_[i]);
   }
 #else
   predict_lanes(padded_, v_.data(), th_.data(), p00_.data(), p01_.data(),

@@ -18,9 +18,10 @@
 // math::kBatchLaneWidth and every lane executes identical elementwise
 // code, so outputs are invariant under lane permutation bit-for-bit.
 //
-// update_velocity is defined inline in this header so it compiles with the
-// *caller's* flags: updates are bit-identical to GradeEkf::update_velocity
-// in every build mode; only predict carries the SIMD tolerance.
+// update_velocity and predict_lane are defined inline in this header so
+// they compile with the *caller's* flags: they are bit-identical to
+// GradeEkf::update_velocity / GradeEkf::predict in every build mode; only
+// the lane-parallel predict carries the SIMD tolerance.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +61,19 @@ class GradeEkfBatch {
   void predict(std::span<const double> specific_force,
                std::span<const double> dt,
                std::span<const std::uint8_t> active);
+
+  /// One lane's predict with libm sin/cos: identical arithmetic to
+  /// GradeEkf::predict, in every build mode. A no-op on an unseeded lane
+  /// and for dt <= 0.
+  void predict_lane(std::size_t lane, double specific_force, double dt) {
+    if (!seeded(lane)) return;
+    ekf_kernel::StateRef s{v_[lane], th_[lane], p00_[lane], p01_[lane],
+                           p11_[lane]};
+    ekf_kernel::predict(
+        s, specific_force, dt, g_, c_, drift_, cfg_.accel_sigma,
+        cfg_.grade_process_psd, [](double x) { return std::sin(x); },
+        [](double x) { return std::cos(x); });
+  }
 
   /// One velocity measurement for one lane; identical arithmetic to
   /// GradeEkf::update_velocity (returns false when the NIS gate rejects).

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 
-#include "core/grade_ekf_batch.hpp"
 #include "math/angles.hpp"
 #include "obs/obs.hpp"
 
@@ -67,12 +67,25 @@ void OnlineGradientEstimator::DetectionRing::grow() {
 
 OnlineGradientEstimator::OnlineGradientEstimator(
     const vehicle::VehicleParams& params, const OnlineEstimatorConfig& config)
+    : OnlineGradientEstimator(params, config, nullptr, 0, 1) {}
+
+OnlineGradientEstimator::OnlineGradientEstimator(
+    const vehicle::VehicleParams& params, const OnlineEstimatorConfig& config,
+    GradeEkfBatch* store, std::size_t lane, std::size_t stride)
     : params_(params),
       cfg_(config),
       road_gain_{config.alignment.road_rate_tau_s},
       bias_gain_{config.alignment.bias_tau_s},
       smoothing_half_(smoothing_half_samples(config)),
-      det_(ring_capacity(config, smoothing_half_samples(config))) {
+      det_(ring_capacity(config, smoothing_half_samples(config))),
+      own_filters_(store != nullptr
+                       ? nullptr
+                       : std::make_unique<GradeEkfBatch>(
+                             kVelocitySourceCount, params, config.ekf)),
+      filters_(store != nullptr ? store : own_filters_.get()),
+      sources_{SourceFilter{"gps", 0.09, lane},
+               SourceFilter{"speedometer", 0.16, lane + stride},
+               SourceFilter{"canbus", 0.01, lane + 2 * stride}} {
   // Reference-mode windows are bounded by the ring size; reserving here
   // keeps the per-tick re-scan allocation-free too (its inner calls into
   // detect_lane_changes still allocate — that's the mode's cost).
@@ -82,84 +95,20 @@ OnlineGradientEstimator::OnlineGradientEstimator(
   scratch_v_.reserve(cap);
 }
 
-OnlineGradientEstimator::SourceFilter::SourceFilter(const char* source_name)
+OnlineGradientEstimator::SourceFilter::SourceFilter(const char* source_name,
+                                                    double variance,
+                                                    std::size_t slot)
+    : slot(slot),
+      variance(variance)
 #if RGE_OBS_ENABLED
-    : c_gate_rejected(std::string("online.gate_rejected.") + source_name),
+      ,
+      c_gate_rejected(std::string("online.gate_rejected.") + source_name),
       g_r_eff(std::string("online.r_eff.") + source_name),
       g_health(std::string("online.health.") + source_name),
       g_quarantined(std::string("online.quarantined.") + source_name)
 #endif
 {
   (void)source_name;
-}
-
-// SourceFilter EKF access: dispatch to the attached SoA store lane when
-// the filter was re-homed by OnlineEstimatorBatch, else to the owned
-// GradeEkf. GradeEkfBatch's update_velocity/seed/accessors are defined
-// inline in its header and run the exact scalar kernel, so both branches
-// perform identical arithmetic.
-bool OnlineGradientEstimator::SourceFilter::seeded() const {
-  return batch != nullptr ? batch->seeded(batch_lane) : ekf.has_value();
-}
-
-double OnlineGradientEstimator::SourceFilter::speed() const {
-  return batch != nullptr ? batch->speed(batch_lane) : ekf->speed();
-}
-
-double OnlineGradientEstimator::SourceFilter::grade() const {
-  return batch != nullptr ? batch->grade(batch_lane) : ekf->grade();
-}
-
-double OnlineGradientEstimator::SourceFilter::grade_variance() const {
-  return batch != nullptr ? batch->grade_variance(batch_lane)
-                          : ekf->grade_variance();
-}
-
-double OnlineGradientEstimator::SourceFilter::speed_variance() const {
-  return batch != nullptr ? batch->speed_variance(batch_lane)
-                          : ekf->speed_variance();
-}
-
-bool OnlineGradientEstimator::SourceFilter::update_velocity(double v_meas,
-                                                            double variance) {
-  return batch != nullptr ? batch->update_velocity(batch_lane, v_meas, variance)
-                          : ekf->update_velocity(v_meas, variance);
-}
-
-void OnlineGradientEstimator::SourceFilter::predict(double specific_force,
-                                                    double dt) {
-  // Batch-attached lanes are predicted lane-parallel by the fleet driver
-  // between push_imu_begin and push_imu_finish.
-  if (batch == nullptr && ekf) ekf->predict(specific_force, dt);
-}
-
-void OnlineGradientEstimator::SourceFilter::seed_filter(
-    const vehicle::VehicleParams& params, const GradeEkfConfig& cfg,
-    double initial_speed) {
-  if (batch != nullptr) {
-    batch->seed(batch_lane, initial_speed);
-  } else {
-    ekf.emplace(params, cfg, initial_speed, 0.0);
-  }
-}
-
-void OnlineGradientEstimator::attach_batch(GradeEkfBatch* store,
-                                           std::size_t lane,
-                                           std::size_t stride) {
-  std::size_t slot = lane;
-  for (SourceFilter* src : {&gps_, &speedometer_, &canbus_}) {
-    src->batch = store;
-    src->batch_lane = slot;
-    slot += stride;
-  }
-}
-
-OnlineGradientEstimator::TimeGate
-OnlineGradientEstimator::classify_measurement_time(const SourceFilter& src,
-                                                   double t) {
-  if (!src.has_t) return TimeGate::kAccept;
-  if (t == src.last_t) return TimeGate::kDuplicate;
-  return t < src.last_t ? TimeGate::kStale : TimeGate::kAccept;
 }
 
 void OnlineGradientEstimator::publish_source_gauges(SourceFilter& src) {
@@ -200,10 +149,10 @@ bool OnlineGradientEstimator::bias_consensus(double sign) const {
   // the evidence there is).
   int n_seeded = 0;
   int n_agree = 0;
-  for (const SourceFilter* s : {&gps_, &speedometer_, &canbus_}) {
-    if (!s->seeded() || s->quarantined) continue;
+  for (const SourceFilter& s : sources_) {
+    if (!source_usable(s)) continue;
     ++n_seeded;
-    if (sign * s->bias_ewma >= cfg_.defense.bias_engage_sigma) ++n_agree;
+    if (sign * s.bias_ewma >= cfg_.defense.bias_engage_sigma) ++n_agree;
   }
   return n_seeded <= 1 ? n_agree >= 1 : n_agree >= 2;
 }
@@ -236,10 +185,10 @@ void OnlineGradientEstimator::learn_accel_bias(const SourceFilter& src,
 bool OnlineGradientEstimator::admit_velocity(SourceFilter& src, double t,
                                              double v) {
   const OnlineDefenseConfig& d = cfg_.defense;
-  if (!src.seeded()) {
+  if (!filters_->seeded(src.slot)) {
     // First measurement seeds the filter; there is no prediction to gate
     // against yet.
-    src.seed_filter(params_, cfg_.ekf, v);
+    filters_->seed(src.slot, v);
     src.last_t = t;
     src.has_t = true;
     src.last_accept_t = t;
@@ -250,15 +199,15 @@ bool OnlineGradientEstimator::admit_velocity(SourceFilter& src, double t,
   if (!d.enabled) {  // trusting legacy path
     src.last_t = t;
     src.has_t = true;
-    src.update_velocity(v, src.variance);
+    filters_->update_velocity(src.slot, v, src.variance);
     src.last_accept_t = t;
     src.has_accept_t = true;
     ++src.accepted;
     return true;
   }
 
-  const double p00 = src.speed_variance();
-  const double y = v - src.speed();
+  const double p00 = filters_->speed_variance(src.slot);
+  const double y = v - filters_->speed(src.slot);
   const double s_base = p00 + src.variance;
   const double gate2 = d.gate_nsigma * d.gate_nsigma;
 
@@ -327,7 +276,7 @@ bool OnlineGradientEstimator::admit_velocity(SourceFilter& src, double t,
   learn_accel_bias(src, t, y);
   src.last_t = t;
   src.has_t = true;
-  src.update_velocity(v, src.r_eff);
+  filters_->update_velocity(src.slot, v, src.r_eff);
   src.last_accept_t = t;
   src.has_accept_t = true;
   ++src.accepted;
@@ -346,18 +295,7 @@ void OnlineGradientEstimator::push_gps(const sensors::GpsFix& fix) {
     have_prev_fix_ = false;
     return;
   }
-  switch (classify_measurement_time(gps_, fix.t)) {
-    case TimeGate::kDuplicate:
-      OBS_COUNT("online.rejected_duplicate_t", 1);
-      return;
-    case TimeGate::kStale:
-      OBS_COUNT("online.rejected_nonmonotonic", 1);
-      return;
-    case TimeGate::kAccept:
-      break;
-  }
-  if (!gps_.seeded()) gps_.variance = 0.09;
-  if (!admit_velocity(gps_, fix.t, fix.speed_mps)) return;
+  if (!push_velocity(VelocitySource::kGps, fix.t, fix.speed_mps)) return;
   // Heading chain and speed cache follow only measurements that were
   // actually applied: a gated (spoofed) fix must not steer the alignment.
   if (have_prev_fix_ && fix.t - prev_fix_t_ <= 3.0 && fix.t > prev_fix_t_) {
@@ -377,19 +315,9 @@ void OnlineGradientEstimator::push_speedometer(double t, double speed_mps) {
     OBS_COUNT("online.rejected_nonfinite", 1);
     return;
   }
-  switch (classify_measurement_time(speedometer_, t)) {
-    case TimeGate::kDuplicate:
-      OBS_COUNT("online.rejected_duplicate_t", 1);
-      return;
-    case TimeGate::kStale:
-      OBS_COUNT("online.rejected_nonmonotonic", 1);
-      return;
-    case TimeGate::kAccept:
-      break;
+  if (push_velocity(VelocitySource::kSpeedometer, t, speed_mps)) {
+    latest_speed_meas_ = speed_mps;
   }
-  if (!speedometer_.seeded()) speedometer_.variance = 0.16;
-  if (!admit_velocity(speedometer_, t, speed_mps)) return;
-  latest_speed_meas_ = speed_mps;
 }
 
 void OnlineGradientEstimator::push_canbus(double t, double speed_mps) {
@@ -397,19 +325,23 @@ void OnlineGradientEstimator::push_canbus(double t, double speed_mps) {
     OBS_COUNT("online.rejected_nonfinite", 1);
     return;
   }
-  switch (classify_measurement_time(canbus_, t)) {
-    case TimeGate::kDuplicate:
-      OBS_COUNT("online.rejected_duplicate_t", 1);
-      return;
-    case TimeGate::kStale:
-      OBS_COUNT("online.rejected_nonmonotonic", 1);
-      return;
-    case TimeGate::kAccept:
-      break;
+  if (push_velocity(VelocitySource::kCanbus, t, speed_mps)) {
+    latest_speed_meas_ = speed_mps;
   }
-  if (!canbus_.seeded()) canbus_.variance = 0.01;
-  if (!admit_velocity(canbus_, t, speed_mps)) return;
-  latest_speed_meas_ = speed_mps;
+}
+
+bool OnlineGradientEstimator::push_velocity(VelocitySource which, double t,
+                                            double v) {
+  SourceFilter& src = sources_[static_cast<std::size_t>(which)];
+  if (src.has_t && t == src.last_t) {
+    OBS_COUNT("online.rejected_duplicate_t", 1);
+    return false;
+  }
+  if (src.has_t && t < src.last_t) {
+    OBS_COUNT("online.rejected_nonmonotonic", 1);
+    return false;
+  }
+  return admit_velocity(src, t, v);
 }
 
 void OnlineGradientEstimator::push_baro(double t, double altitude_m) {
@@ -438,7 +370,9 @@ void OnlineGradientEstimator::push_baro(double t, double altitude_m) {
   if (!d.enabled || !d.compensate_accel_bias || !d.baro_anchor) return;
   if (!baro_anchor_active_) {
     // Anchoring needs a climb prediction, i.e. at least one seeded filter.
-    if (!gps_.seeded() && !speedometer_.seeded() && !canbus_.seeded()) return;
+    double v = 0.0;
+    double th = 0.0;
+    if (!fused_state(&v, &th)) return;
     baro_anchor_active_ = true;
     baro_anchor_t_ = t;
     baro_anchor_alt_ = baro_smooth_;
@@ -474,33 +408,34 @@ double OnlineGradientEstimator::current_alpha(double t) const {
 }
 
 bool OnlineGradientEstimator::source_usable(const SourceFilter& src) const {
-  return src.seeded() && !src.quarantined;
+  return filters_->seeded(src.slot) && !src.quarantined;
 }
 
 bool OnlineGradientEstimator::any_usable_source() const {
-  return source_usable(gps_) || source_usable(speedometer_) ||
-         source_usable(canbus_);
+  return std::any_of(
+      sources_.begin(), sources_.end(),
+      [this](const SourceFilter& src) { return source_usable(src); });
 }
 
 bool OnlineGradientEstimator::fused_state(double* v, double* th) const {
-  // Speed and grade of the lowest-grade-variance filter, matching
-  // estimate()'s selection (first source wins ties, in
-  // gps/speedometer/canbus order) without the allocating convex fusion.
+  // Speed and grade of the lowest-grade-variance fused filter (first
+  // source wins ties, in gps/speedometer/canbus order): odometry, the
+  // baro integrals and estimate()'s speed all use this one selection.
   // Quarantined sources are excluded unless every seeded source is
   // quarantined (see OnlineEstimate::sources_fused_mask). Leaves *v and
   // *th untouched and returns false when no filter is seeded.
   const bool all_quarantined = !any_usable_source();
   double best_var = 0.0;
   bool any = false;
-  for (const SourceFilter* src : {&gps_, &speedometer_, &canbus_}) {
-    if (!src->seeded()) continue;
-    if (src->quarantined && !all_quarantined) continue;
-    const double var = src->grade_variance();
+  for (const SourceFilter& src : sources_) {
+    if (!filters_->seeded(src.slot)) continue;
+    if (src.quarantined && !all_quarantined) continue;
+    const double var = filters_->grade_variance(src.slot);
     if (!any || var < best_var) {
       any = true;
       best_var = var;
-      *v = src->speed();
-      *th = src->grade();
+      *v = filters_->speed(src.slot);
+      *th = filters_->grade(src.slot);
     }
   }
   return any;
@@ -517,10 +452,8 @@ double OnlineGradientEstimator::applied_accel_bias() const {
 void OnlineGradientEstimator::push_imu(const sensors::ImuSample& sample) {
   const ImuStep step = push_imu_begin(sample);
   if (!step.accepted) return;
-  if (step.dt > 0.0) {
-    for (SourceFilter* src : {&gps_, &speedometer_, &canbus_}) {
-      src->predict(step.f, step.dt);
-    }
+  for (const SourceFilter& src : sources_) {
+    filters_->predict_lane(src.slot, step.f, step.dt);
   }
   push_imu_finish(step);
 }
@@ -897,59 +830,47 @@ OnlineEstimate OnlineGradientEstimator::estimate() const {
   out.lane_changes_detected = lane_changes_.size();
 
   const bool all_quarantined = !any_usable_source();
-  std::vector<double> grades;
-  std::vector<double> variances;
-  std::vector<double> speeds;
+  std::array<double, kVelocitySourceCount> grades{};
+  std::array<double, kVelocitySourceCount> variances{};
+  std::size_t n = 0;
   std::uint8_t bit = 1;
-  for (const SourceFilter* src : {&gps_, &speedometer_, &canbus_}) {
-    if (src->seeded()) {
-      if (src->quarantined) out.sources_quarantined_mask |= bit;
-      if (!src->quarantined || all_quarantined) {
+  for (const SourceFilter& src : sources_) {
+    if (filters_->seeded(src.slot)) {
+      if (src.quarantined) out.sources_quarantined_mask |= bit;
+      if (!src.quarantined || all_quarantined) {
         out.sources_fused_mask |= bit;
-        grades.push_back(src->grade());
-        variances.push_back(src->grade_variance());
-        speeds.push_back(src->speed());
+        grades[n] = filters_->grade(src.slot);
+        variances[n] = filters_->grade_variance(src.slot);
+        ++n;
       }
     }
     bit = static_cast<std::uint8_t>(bit << 1);
   }
-  if (grades.empty()) return out;
-  const auto [g, p] = convex_combine(grades, variances, cfg_.fusion.min_variance);
+  if (n == 0) return out;
+  const auto [g, p] =
+      convex_combine(std::span(grades).first(n),
+                     std::span(variances).first(n), cfg_.fusion.min_variance);
   out.grade_rad = g;
   out.grade_var = p;
   // Speed: same weights would be wrong (different variances); use the
   // speed of the lowest-grade-variance filter.
-  std::size_t best = 0;
-  for (std::size_t k = 1; k < variances.size(); ++k) {
-    if (variances[k] < variances[best]) best = k;
-  }
-  out.speed_mps = speeds[best];
+  double theta = 0.0;
+  fused_state(&out.speed_mps, &theta);
   return out;
 }
 
 SourceDiagnostics OnlineGradientEstimator::source_diagnostics(
     VelocitySource which) const {
-  const SourceFilter* src = &gps_;
-  switch (which) {
-    case VelocitySource::kGps:
-      src = &gps_;
-      break;
-    case VelocitySource::kSpeedometer:
-      src = &speedometer_;
-      break;
-    case VelocitySource::kCanbus:
-      src = &canbus_;
-      break;
-  }
+  const SourceFilter& src = sources_.at(static_cast<std::size_t>(which));
   SourceDiagnostics d;
-  d.seeded = src->seeded();
-  d.quarantined = src->quarantined;
-  d.health = src->health;
-  d.nis_ewma = src->nis_ewma;
-  d.bias_ewma = src->bias_ewma;
-  d.r_eff = src->r_eff;
-  d.accepted = src->accepted;
-  d.gate_rejected = src->gated;
+  d.seeded = filters_->seeded(src.slot);
+  d.quarantined = src.quarantined;
+  d.health = src.health;
+  d.nis_ewma = src.nis_ewma;
+  d.bias_ewma = src.bias_ewma;
+  d.r_eff = src.r_eff;
+  d.accepted = src.accepted;
+  d.gate_rejected = src.gated;
   return d;
 }
 

@@ -12,7 +12,9 @@
 //   * lane-change detection: Algorithm 1 as an incremental state machine
 //     over the finalized profile (O(excursion) per detector tick instead
 //     of re-running the full 30 s buffer);
-//   * gradient EKFs + fusion: strictly causal, one per velocity source.
+//   * gradient EKFs + fusion: strictly causal, one per velocity source,
+//     each a lane of a GradeEkfBatch (a three-lane store of the
+//     estimator's own, or an OnlineEstimatorBatch's shared store).
 //
 // Estimates published while a lane change is still being detected cannot
 // be retro-adjusted (Eq. 2 needs the whole maneuver), so the online
@@ -25,13 +27,14 @@
 // test_online_parity.SteadyStatePushImuDoesNotAllocate.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "core/alignment.hpp"
-#include "core/grade_ekf.hpp"
+#include "core/grade_ekf_batch.hpp"
 #include "core/lane_change_detector.hpp"
 #include "core/track_fusion.hpp"
 #include "math/ema_gain.hpp"
@@ -41,7 +44,6 @@
 
 namespace rge::core {
 
-class GradeEkfBatch;
 class OnlineEstimatorBatch;
 
 /// Self-defense layer for the per-source velocity filters: innovation
@@ -155,6 +157,8 @@ struct OnlineEstimatorConfig {
 /// masks in OnlineEstimate.
 enum class VelocitySource : std::uint8_t { kGps = 0, kSpeedometer = 1,
                                            kCanbus = 2 };
+/// Velocity sources, i.e. filter slots, per vehicle.
+inline constexpr std::size_t kVelocitySourceCount = 3;
 
 /// Current output of the streaming estimator.
 struct OnlineEstimate {
@@ -306,31 +310,13 @@ class OnlineGradientEstimator {
     double peak_mag = 0.0;
   };
 
+  /// One velocity source: its filter's lane in the store (*filters_) and
+  /// its stream clock and defense state.
   struct SourceFilter {
-    explicit SourceFilter(const char* source_name);
+    SourceFilter(const char* source_name, double variance, std::size_t slot);
 
-    std::optional<GradeEkf> ekf;
-    /// Non-null when this source's EKF state lives in a lane of a shared
-    /// SoA store (OnlineEstimatorBatch) instead of `ekf`. All filter
-    /// access below goes through the accessors, which dispatch to the
-    /// batch lane when attached; with `batch == nullptr` they inline to
-    /// the exact legacy GradeEkf calls, so the scalar path is untouched.
-    GradeEkfBatch* batch = nullptr;
-    std::size_t batch_lane = 0;
-
-    bool seeded() const;
-    double speed() const;
-    double grade() const;
-    double grade_variance() const;
-    double speed_variance() const;
-    bool update_velocity(double v_meas, double variance);
-    /// Scalar in-place predict; no-op when attached to a batch (the batch
-    /// driver runs the lane-parallel predict between begin and finish).
-    void predict(double specific_force, double dt);
-    void seed_filter(const vehicle::VehicleParams& params,
-                     const GradeEkfConfig& cfg, double initial_speed);
-
-    double variance = 0.1;
+    std::size_t slot;  ///< lane of this source's EKF in *filters_
+    double variance;   ///< base measurement noise R ((m/s)^2)
     double last_t = 0.0;  ///< newest *consumed* measurement timestamp
     bool has_t = false;
 
@@ -358,11 +344,18 @@ class OnlineGradientEstimator {
 #endif
   };
 
-  // The SoA fleet driver streams lanes in lockstep: per sample it runs
-  // push_imu_begin on every lane, one lane-parallel EKF predict over
-  // every lane's source filters, then push_imu_finish on every lane —
-  // the exact stage order of the scalar push_imu.
+  // The SoA fleet driver builds its lanes on its shared store and streams
+  // them in lockstep: per sample it runs push_imu_begin on every lane, one
+  // lane-parallel EKF predict over every lane's source filters, then
+  // push_imu_finish on every lane — the exact stage order of push_imu.
   friend class OnlineEstimatorBatch;
+
+  /// Source s (gps, speedometer, canbus) filters in lane `lane + s *
+  /// stride` of `store`; a null store means a three-lane store of its own.
+  OnlineGradientEstimator(const vehicle::VehicleParams& params,
+                          const OnlineEstimatorConfig& config,
+                          GradeEkfBatch* store, std::size_t lane,
+                          std::size_t stride);
 
   /// One admitted IMU sample, staged between push_imu's causal front half
   /// (admission, alignment, lane-change projection) and its post-predict
@@ -377,11 +370,6 @@ class OnlineGradientEstimator {
   };
   ImuStep push_imu_begin(const sensors::ImuSample& sample);
   void push_imu_finish(const ImuStep& step);
-  /// Re-home the three source filters' EKF state into one filter store:
-  /// source s (gps, speedometer, canbus) lives at lane `lane + s * stride`
-  /// (OnlineEstimatorBatch's lane wiring).
-  void attach_batch(GradeEkfBatch* store, std::size_t lane,
-                    std::size_t stride);
 
   void on_detector_tick(double now);
   void finalize_sample(std::size_t j);
@@ -398,11 +386,9 @@ class OnlineGradientEstimator {
                              double peak_mag) const;
   double displacement_walk(std::size_t i0, std::size_t i1) const;
   double current_alpha(double t) const;
-  /// Classify `t` against the source's stream clock without mutating it;
-  /// the clock advances only when a measurement is actually consumed.
-  enum class TimeGate { kAccept, kDuplicate, kStale };
-  static TimeGate classify_measurement_time(const SourceFilter& src,
-                                            double t);
+  /// The source's stream-clock gate (see push_imu's admission policy),
+  /// then admit_velocity. Returns true if the EKF took the measurement.
+  bool push_velocity(VelocitySource which, double t, double v);
   /// Defense pipeline for one velocity measurement whose timestamp was
   /// admitted: gate / health / quarantine-probe / bias learning / EKF
   /// update. Returns true if the measurement was applied to the EKF.
@@ -465,10 +451,12 @@ class OnlineGradientEstimator {
   bool alpha_active_ = false;
   double alpha_until_ = -1e9;
 
-  // EKFs per source.
-  SourceFilter gps_{"gps"};
-  SourceFilter speedometer_{"speedometer"};
-  SourceFilter canbus_{"canbus"};
+  // EKFs per source: the store owned by a standalone estimator (null in
+  // a fleet lane), the store the filters live in, and the sources indexed
+  // by VelocitySource.
+  std::unique_ptr<GradeEkfBatch> own_filters_;
+  GradeEkfBatch* filters_;
+  std::array<SourceFilter, kVelocitySourceCount> sources_;
   double odometry_ = 0.0;
   /// Accel-bias estimate (m/s^2), written by the velocity-consensus
   /// learner or (preferred, when baro flows) the barometer anchor; stays

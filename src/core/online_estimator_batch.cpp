@@ -9,32 +9,27 @@
 
 namespace rge::core {
 
-namespace {
-
-/// Filter slots per vehicle: gps, speedometer, canbus.
-constexpr std::size_t kSources = 3;
-
-}  // namespace
-
 OnlineEstimatorBatch::OnlineEstimatorBatch(std::size_t lanes,
                                            const vehicle::VehicleParams& params,
                                            const OnlineEstimatorConfig& config)
     : lanes_(lanes),
       params_(params),
       config_(config),
-      filters_(kSources * lanes, params, config.ekf),
+      filters_(kVelocitySourceCount * lanes, params, config.ekf),
       lanes_state_(lanes),
       steps_(lanes),
-      f_(kSources * lanes, 0.0),
-      dt_(kSources * lanes, 0.0) {
+      f_(kVelocitySourceCount * lanes, 0.0),
+      dt_(kVelocitySourceCount * lanes, 0.0) {
   for (std::size_t i = 0; i < lanes; ++i) reset_lane(i);
 }
 
 void OnlineEstimatorBatch::reset_lane(std::size_t lane) {
   auto& est = lanes_state_.at(lane);
-  est = std::make_unique<OnlineGradientEstimator>(params_, config_);
-  for (std::size_t s = 0; s < kSources; ++s) filters_.reset(s * lanes_ + lane);
-  est->attach_batch(&filters_, lane, lanes_);
+  for (std::size_t s = 0; s < kVelocitySourceCount; ++s) {
+    filters_.reset(s * lanes_ + lane);
+  }
+  est.reset(
+      new OnlineGradientEstimator(params_, config_, &filters_, lane, lanes_));
 }
 
 void OnlineEstimatorBatch::push_imu(
@@ -74,7 +69,7 @@ void OnlineEstimatorBatch::push_imu(std::span<const sensors::ImuSample> samples,
   }
   // Stage 2: every source of a lane sees the lane's (f, dt); one
   // lane-parallel predict over the whole store.
-  for (std::size_t s = 1; s < kSources; ++s) {
+  for (std::size_t s = 1; s < kVelocitySourceCount; ++s) {
     std::copy_n(f_.begin(), lanes_, f_.begin() + s * lanes_);
     std::copy_n(dt_.begin(), lanes_, dt_.begin() + s * lanes_);
   }

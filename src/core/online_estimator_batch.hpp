@@ -3,9 +3,9 @@
 // OnlineEstimatorBatch runs N vehicles' streaming estimators in lockstep.
 // Each lane keeps the full scalar OnlineGradientEstimator state (alignment,
 // lane-change detection, the defense layer's gating/quarantine machinery —
-// all inherently per-vehicle and branchy), but the three per-source
-// velocity EKFs are re-homed into one structure-of-arrays filter store
-// (a GradeEkfBatch of 3N lanes: source s of vehicle i at lane s*N + i), so
+// all inherently per-vehicle and branchy), and each lane's estimator is
+// built on one shared structure-of-arrays filter store (a GradeEkfBatch of
+// 3N lanes: source s of vehicle i at lane s*N + i), so
 // the IMU-rate predict step — the fleet hot loop, two orders of magnitude
 // more frequent than any measurement — runs as one lane-parallel vector
 // sweep instead of 3*N scattered little matrix products.
@@ -52,6 +52,9 @@ class OnlineEstimatorBatch {
   OnlineEstimatorBatch(std::size_t lanes,
                        const vehicle::VehicleParams& params,
                        const OnlineEstimatorConfig& config = {});
+  /// Lanes point into filters_, so the batch never moves or copies.
+  OnlineEstimatorBatch(const OnlineEstimatorBatch&) = delete;
+  OnlineEstimatorBatch& operator=(const OnlineEstimatorBatch&) = delete;
 
   std::size_t lanes() const { return lanes_; }
 
@@ -87,9 +90,9 @@ class OnlineEstimatorBatch {
   OnlineEstimatorConfig config_;
   /// Every lane's three source filters: source s of lane i at s*lanes_ + i.
   GradeEkfBatch filters_;
-  // Per-lane scalar state. unique_ptr so an estimator never relocates
-  // while attached to filters_; allocated at construction and by
-  // reset_lane only, the push_imu hot path never touches the allocator.
+  // Per-lane scalar state, built on filters_; allocated at construction
+  // and by reset_lane only, the push_imu hot path never touches the
+  // allocator.
   std::vector<std::unique_ptr<OnlineGradientEstimator>> lanes_state_;
   // Lockstep scratch, sized at construction (zero-alloc steady state).
   // f_ and dt_ cover all 3*lanes_ filter slots.

@@ -10,7 +10,7 @@
 //
 // Determinism contract: these kernels are *always* bit-identical to the
 // scalar per-query path (locate / LinearInterpolator), in every build
-// mode. Unlike the EKF/LOESS batch kernels they are compiled with the
+// mode. Unlike the EKF batch kernel they are compiled with the
 // project's default flags and contain no transcendentals, so RGE_SIMD
 // only affects their speed indirectly (the algorithmic win is the point).
 // LinearInterpolator::sample() routes through resample_sorted.

@@ -1,6 +1,6 @@
 // Build-level SIMD gate and lane-math helpers for the SoA batch kernels.
 //
-// The batch layer (GradeEkfBatch, LoessBatch, resample_sorted,
+// The batch layer (GradeEkfBatch, resample_sorted,
 // OnlineEstimatorBatch) compiles in one of two modes, selected by the
 // CMake option RGE_SIMD (default ON):
 //

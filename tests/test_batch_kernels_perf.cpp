@@ -2,8 +2,6 @@
 //
 //   * GradeEkfBatch::predict over a 1000-vehicle fleet must beat stepping
 //     1000 scalar GradeEkf instances by >= 4x per core;
-//   * loess_fit_batch over a lock-stepped fleet's shared grid must beat
-//     per-series LoessSmoother::fit by >= 4x;
 //   * batched resample_sorted must not lose to per-query interpolation
 //     (>= 1x guard; it is bit-exact, so any win is free);
 //   * run_online_batch over 128 uneven partial-span traces, one block on
@@ -30,7 +28,6 @@
 #include "core/online_estimator_batch.hpp"
 #include "math/interp.hpp"
 #include "math/interp_batch.hpp"
-#include "math/loess_batch.hpp"
 #include "math/rng.hpp"
 #include "math/simd.hpp"
 #include "road/network.hpp"
@@ -198,47 +195,6 @@ TEST(BatchKernelsPerf, FleetSpeedupsMeetBudget) {
       << "EKF fleet predict: scalar " << ekf_scalar_ms << " ms vs batch "
       << ekf_batch_ms << " ms";
 
-  // ---- LOESS: shared grid, one series per vehicle --------------------
-  const std::size_t loess_series = kSanitized ? 48 : 128;
-  const std::size_t loess_n = 400;
-  std::vector<double> x(loess_n);
-  double t = 0.0;
-  for (auto& xi : x) {
-    t += rng.uniform(0.01, 0.05);
-    xi = t;
-  }
-  std::vector<double> ys(loess_series * loess_n);
-  for (auto& y : ys) y = rng.gaussian(0.0, 1.0);
-  math::LoessConfig lcfg;
-  lcfg.span = 0.2;
-  lcfg.degree = 1;
-  const math::LoessSmoother scalar_smoother(lcfg);
-
-  // Warm.
-  auto warm_scalar = scalar_smoother.fit(
-      x, std::span<const double>(ys).subspan(0, loess_n));
-  auto warm_batch = math::loess_fit_batch(lcfg, x, ys, loess_series);
-  ASSERT_TRUE(std::isfinite(warm_scalar[0] + warm_batch[0]));
-
-  const auto t_lscalar = Clock::now();
-  double lsum = 0.0;
-  for (std::size_t b = 0; b < loess_series; ++b) {
-    const auto fit = scalar_smoother.fit(
-        x, std::span<const double>(ys).subspan(b * loess_n, loess_n));
-    lsum += fit.back();
-  }
-  const double loess_scalar_ms = ms_since(t_lscalar);
-  const auto t_lbatch = Clock::now();
-  const auto lbatch = math::loess_fit_batch(lcfg, x, ys, loess_series);
-  const double loess_batch_ms = ms_since(t_lbatch);
-  lsum += lbatch.back();
-  ASSERT_TRUE(std::isfinite(lsum));
-  const double loess_speedup = loess_scalar_ms / loess_batch_ms;
-
-  EXPECT_GE(loess_speedup, kBudget)
-      << "LOESS fleet smooth: scalar " << loess_scalar_ms
-      << " ms vs batch " << loess_batch_ms << " ms";
-
   // ---- Interp resampling: guard only (bit-exact kernel) --------------
   const std::size_t interp_n = 20000;
   const std::size_t interp_q = 50000;
@@ -303,8 +259,6 @@ TEST(BatchKernelsPerf, FleetSpeedupsMeetBudget) {
   doc["workload"] = testing::Json::Object{
       {"fleet_lanes", kLanes},
       {"ekf_steps", ekf_steps},
-      {"loess_series", loess_series},
-      {"loess_points", loess_n},
       {"interp_keys", interp_n},
       {"interp_queries", interp_q},
       {"online_traces", online_traces},
@@ -316,12 +270,6 @@ TEST(BatchKernelsPerf, FleetSpeedupsMeetBudget) {
       {"scalar_ms", ekf_scalar_ms},
       {"batch_ms", ekf_batch_ms},
       {"speedup", ekf_speedup},
-      {"budget_min_speedup", kBudget},
-  };
-  doc["loess"] = testing::Json::Object{
-      {"scalar_ms", loess_scalar_ms},
-      {"batch_ms", loess_batch_ms},
-      {"speedup", loess_speedup},
       {"budget_min_speedup", kBudget},
   };
   doc["interp"] = testing::Json::Object{

@@ -11,13 +11,18 @@
 //     the same bits at every thread count and block size, and a lane
 //     reset for a new trace behaves exactly like a fresh lane;
 //   * the lockstep push_imu hot path performs zero heap allocations at
-//     steady state (same global-new counting as the scalar test).
+//     steady state (same global-new counting as the scalar test);
+//   * filter-state ownership: a batch never moves (its lanes point into
+//     its store), and a standalone estimator moved mid-trace carries its
+//     own store along.
 #include "core/online_estimator_batch.hpp"
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -52,39 +57,53 @@ void* operator new[](std::size_t n) { return ::operator new(n); }
 namespace rge::core {
 namespace {
 
-/// Scalar reference stream: the exact merge order run_online_batch
-/// documents (all GPS with t <= imu.t, then speedometer, then CAN, then
-/// barometer, then the IMU sample).
-void stream_trace(OnlineGradientEstimator& est,
-                  const sensors::SensorTrace& trace) {
-  std::size_t gi = 0;
-  std::size_t si = 0;
-  std::size_t ci = 0;
-  std::size_t bi = 0;
-  for (const auto& imu : trace.imu) {
-    while (gi < trace.gps.size() && trace.gps[gi].t <= imu.t) {
-      est.push_gps(trace.gps[gi++]);
+/// Read positions in one trace's five streams.
+struct StreamCursor {
+  std::size_t imu = 0;
+  std::size_t gps = 0;
+  std::size_t speedo = 0;
+  std::size_t canbus = 0;
+  std::size_t baro = 0;
+};
+
+/// Scalar reference stream up to IMU sample `imu_end`, resuming at `c`:
+/// the exact merge order run_online_batch documents (all GPS with
+/// t <= imu.t, then speedometer, then CAN, then barometer, then the IMU
+/// sample).
+void stream_until(OnlineGradientEstimator& est,
+                  const sensors::SensorTrace& trace, StreamCursor& c,
+                  std::size_t imu_end) {
+  for (; c.imu < imu_end; ++c.imu) {
+    const auto& imu = trace.imu[c.imu];
+    while (c.gps < trace.gps.size() && trace.gps[c.gps].t <= imu.t) {
+      est.push_gps(trace.gps[c.gps++]);
     }
-    while (si < trace.speedometer.size() &&
-           trace.speedometer[si].t <= imu.t) {
-      est.push_speedometer(trace.speedometer[si].t,
-                           trace.speedometer[si].value);
-      ++si;
+    while (c.speedo < trace.speedometer.size() &&
+           trace.speedometer[c.speedo].t <= imu.t) {
+      est.push_speedometer(trace.speedometer[c.speedo].t,
+                           trace.speedometer[c.speedo].value);
+      ++c.speedo;
     }
-    while (ci < trace.canbus_speed.size() &&
-           trace.canbus_speed[ci].t <= imu.t) {
-      est.push_canbus(trace.canbus_speed[ci].t,
-                      trace.canbus_speed[ci].value);
-      ++ci;
+    while (c.canbus < trace.canbus_speed.size() &&
+           trace.canbus_speed[c.canbus].t <= imu.t) {
+      est.push_canbus(trace.canbus_speed[c.canbus].t,
+                      trace.canbus_speed[c.canbus].value);
+      ++c.canbus;
     }
-    while (bi < trace.barometer_alt.size() &&
-           trace.barometer_alt[bi].t <= imu.t) {
-      est.push_baro(trace.barometer_alt[bi].t,
-                    trace.barometer_alt[bi].value);
-      ++bi;
+    while (c.baro < trace.barometer_alt.size() &&
+           trace.barometer_alt[c.baro].t <= imu.t) {
+      est.push_baro(trace.barometer_alt[c.baro].t,
+                    trace.barometer_alt[c.baro].value);
+      ++c.baro;
     }
     est.push_imu(imu);
   }
+}
+
+void stream_trace(OnlineGradientEstimator& est,
+                  const sensors::SensorTrace& trace) {
+  StreamCursor c;
+  stream_until(est, trace, c, trace.imu.size());
 }
 
 void expect_estimate_parity(const OnlineEstimate& batch,
@@ -508,6 +527,50 @@ TEST(OnlineEstimatorBatch, ShortSpansRejected) {
 TEST(OnlineEstimatorBatch, EmptyFleetReturnsEmpty) {
   EXPECT_TRUE(
       run_online_batch({}, vehicle::VehicleParams{}, {}, 1, 0).empty());
+}
+
+// Each lane's estimator points into the batch's filter store, so moving
+// the batch would leave them reading the moved-from store.
+static_assert(!std::is_move_constructible_v<OnlineEstimatorBatch>);
+static_assert(!std::is_copy_constructible_v<OnlineEstimatorBatch>);
+
+TEST(OnlineFilterStore, MovedStandaloneEstimatorMatchesUnmovedTwin) {
+  // A standalone estimator owns its three-lane store on the heap: moved
+  // halfway through a trace, with the moved-from object destroyed before
+  // the second half, it must finish on the same bits as a twin.
+  const vehicle::VehicleParams params{};
+  const auto traces = scenario_fleet();
+  ASSERT_GE(traces.size(), 10u);
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    const sensors::SensorTrace& trace = traces[i];
+    const std::string label = "trace " + std::to_string(i);
+    OnlineGradientEstimator twin(params);
+    stream_trace(twin, trace);
+
+    auto first = std::make_unique<OnlineGradientEstimator>(params);
+    StreamCursor cursor;
+    stream_until(*first, trace, cursor, trace.imu.size() / 2);
+    OnlineGradientEstimator moved(std::move(*first));
+    first.reset();
+    stream_until(moved, trace, cursor, trace.imu.size());
+
+    expect_estimate_bits(moved.estimate(), twin.estimate(), label);
+    expect_lane_changes_equal(moved.lane_changes(), twin.lane_changes(),
+                              label);
+    EXPECT_EQ(moved.accel_bias_estimate(), twin.accel_bias_estimate())
+        << label;
+    for (const auto which :
+         {VelocitySource::kGps, VelocitySource::kSpeedometer,
+          VelocitySource::kCanbus}) {
+      const auto dm = moved.source_diagnostics(which);
+      const auto dt = twin.source_diagnostics(which);
+      EXPECT_EQ(dm.seeded, dt.seeded) << label;
+      EXPECT_EQ(dm.health, dt.health) << label;
+      EXPECT_EQ(dm.r_eff, dt.r_eff) << label;
+      EXPECT_EQ(dm.accepted, dt.accepted) << label;
+      EXPECT_EQ(dm.gate_rejected, dt.gate_rejected) << label;
+    }
+  }
 }
 
 }  // namespace
