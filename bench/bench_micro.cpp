@@ -23,7 +23,6 @@
 #include "math/interp.hpp"
 #include "math/interp_batch.hpp"
 #include "math/loess.hpp"
-#include "math/matrix.hpp"
 #include "math/rng.hpp"
 #include "math/simd.hpp"
 #include "road/network.hpp"
@@ -48,19 +47,6 @@ void BM_GradeEkfStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GradeEkfStep);
-
-void BM_MatrixInverse4x4(benchmark::State& state) {
-  math::Rng rng(2);
-  math::Mat a(4, 4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) a(i, j) = rng.uniform(-1.0, 1.0);
-    a(i, i) += 4.0;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.inverse());
-  }
-}
-BENCHMARK(BM_MatrixInverse4x4);
 
 void BM_LoessSmoothing(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

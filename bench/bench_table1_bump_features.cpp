@@ -7,6 +7,7 @@
 // drivers. We rerun that experiment with ten simulated driver styles and
 // gyro-grade measurement noise, print our Table I, and report the
 // calibrated thresholds next to the paper's.
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
+
+#include "math/matn.hpp"
 
 namespace rge::baselines {
 
-using math::Mat;
-using math::Vec;
+using math::MatN;
+using math::VecN;
 
 core::GradeTrack run_altitude_ekf(const sensors::SensorTrace& trace,
                                   const vehicle::VehicleParams& params,
@@ -21,22 +24,18 @@ core::GradeTrack run_altitude_ekf(const sensors::SensorTrace& trace,
   const double v0 =
       trace.speedometer.empty() ? 0.0 : trace.speedometer.front().value;
 
-  math::ExtendedKalmanFilter ekf(
-      Vec{z0, v0, 0.0},
-      Mat{{cfg.initial_alt_var, 0.0, 0.0},
-          {0.0, cfg.initial_speed_var, 0.0},
-          {0.0, 0.0, cfg.initial_grade_var}});
+  MatN<3, 3> p0;
+  p0(0, 0) = cfg.initial_alt_var;
+  p0(1, 1) = cfg.initial_speed_var;
+  p0(2, 2) = cfg.initial_grade_var;
+  math::EkfN<3> ekf(VecN<3>{{z0, v0, 0.0}}, p0);
 
-  // Measurement models (fixed shapes).
-  math::MeasurementModel baro_model;
-  baro_model.h = [](const Vec& x) { return Vec{x[0]}; };
-  baro_model.jacobian = [](const Vec&) { return Mat{{1.0, 0.0, 0.0}}; };
-  baro_model.r = Mat{{cfg.baro_variance}};
-
-  math::MeasurementModel vel_model;
-  vel_model.h = [](const Vec& x) { return Vec{x[1]}; };
-  vel_model.jacobian = [](const Vec&) { return Mat{{0.0, 1.0, 0.0}}; };
-  vel_model.r = Mat{{cfg.velocity_variance}};
+  // Measurement models (fixed shapes): the barometer sees z, the
+  // speedometer v. Neither update is gated.
+  const MatN<1, 3> baro_h{{1.0, 0.0, 0.0}};
+  const MatN<1, 1> baro_r{{cfg.baro_variance}};
+  const MatN<1, 3> vel_h{{0.0, 1.0, 0.0}};
+  const MatN<1, 1> vel_r{{cfg.velocity_variance}};
 
   core::GradeTrack track;
   track.source = "baseline-ekf-altitude";
@@ -53,44 +52,37 @@ core::GradeTrack run_altitude_ekf(const sensors::SensorTrace& trace,
     prev_t = s.t;
 
     if (dt > 0.0) {
-      math::ProcessModel model;
+      // f and F at the prior state.
       const double a_hat = s.accel_forward;
       const double g = params.gravity;
-      model.f = [dt, a_hat, g](const Vec& x, const Vec&) {
-        const double z = x[0];
-        const double v = x[1];
-        const double theta = x[2];
-        return Vec{z + v * std::sin(theta) * dt,
-                   std::max(0.0, v + (a_hat - g * std::sin(theta)) * dt),
-                   theta};
-      };
-      model.jacobian = [dt, g](const Vec& x, const Vec&) {
-        const double v = x[1];
-        const double theta = x[2];
-        Mat f_jac = Mat::identity(3);
-        f_jac(0, 1) = std::sin(theta) * dt;
-        f_jac(0, 2) = v * std::cos(theta) * dt;
-        f_jac(1, 2) = -g * std::cos(theta) * dt;
-        return f_jac;
-      };
-      const double qz = cfg.altitude_process_sigma *
-                        cfg.altitude_process_sigma * dt;
-      const double qv = cfg.accel_sigma * cfg.accel_sigma * dt * dt;
-      model.q = Mat{{qz, 0.0, 0.0},
-                    {0.0, qv, 0.0},
-                    {0.0, 0.0, cfg.grade_process_psd * dt}};
-      ekf.predict(model, Vec{});
+      const double z = ekf.state()[0];
+      const double v = ekf.state()[1];
+      const double theta = ekf.state()[2];
+      const VecN<3> x_next{
+          {z + v * std::sin(theta) * dt,
+           std::max(0.0, v + (a_hat - g * std::sin(theta)) * dt), theta}};
+      MatN<3, 3> f_jac = MatN<3, 3>::identity();
+      f_jac(0, 1) = std::sin(theta) * dt;
+      f_jac(0, 2) = v * std::cos(theta) * dt;
+      f_jac(1, 2) = -g * std::cos(theta) * dt;
+      MatN<3, 3> q;
+      q(0, 0) = cfg.altitude_process_sigma * cfg.altitude_process_sigma * dt;
+      q(1, 1) = cfg.accel_sigma * cfg.accel_sigma * dt * dt;
+      q(2, 2) = cfg.grade_process_psd * dt;
+      ekf.predict(x_next, f_jac, q);
       odometry += ekf.state()[1] * dt;
     }
 
     while (baro_idx < trace.barometer_alt.size() &&
            trace.barometer_alt[baro_idx].t <= s.t) {
-      ekf.update(baro_model, Vec{trace.barometer_alt[baro_idx].value});
+      ekf.update(VecN<1>{{ekf.state()[0]}}, baro_h, baro_r,
+                 VecN<1>{{trace.barometer_alt[baro_idx].value}});
       ++baro_idx;
     }
     while (spd_idx < trace.speedometer.size() &&
            trace.speedometer[spd_idx].t <= s.t) {
-      ekf.update(vel_model, Vec{trace.speedometer[spd_idx].value});
+      ekf.update(VecN<1>{{ekf.state()[1]}}, vel_h, vel_r,
+                 VecN<1>{{trace.speedometer[spd_idx].value}});
       ++spd_idx;
     }
 

@@ -18,11 +18,9 @@
 // paper's finding that OPS beats it.
 #pragma once
 
-#include <string>
-#include <vector>
+#include <cstddef>
 
-#include "core/grade_ekf.hpp"  // GradeTrack, VelocityMeasurement
-#include "math/kalman.hpp"
+#include "core/grade_ekf.hpp"  // GradeTrack
 #include "sensors/trace.hpp"
 #include "vehicle/params.hpp"
 

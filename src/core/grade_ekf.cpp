@@ -52,9 +52,8 @@ GradeEkf::GradeEkf(const vehicle::VehicleParams& params,
       p11_(cfg.initial_grade_var) {}
 
 // The arithmetic lives in grade_ekf_kernel.hpp (shared with the SoA batch
-// filter); it is the generic-EKF computation unrolled for this 2-state
-// model with association order matching Mat::operator* accumulation, so
-// the results are bit-identical (see the hpp note). The scalar filter
+// filter); it is the EkfN<2> computation unrolled for this 2-state model
+// in the same association order (see the hpp note). The scalar filter
 // always uses libm sin/cos regardless of RGE_SIMD.
 
 void GradeEkf::predict(double specific_force, double dt) {
@@ -157,10 +156,9 @@ GradeTrack run_grade_rts(const std::string& source_name,
   if (n < 2) return track;
 
   // ---- Forward EKF pass, recording what the backward sweep needs. ----
-  // Fixed-size (stack) state math: the Mat/Vec version of this pass
-  // allocated ~30 small matrices per smoothing step; EkfN<2>/MatN<2,2>
-  // mirror the dynamic filter's arithmetic bit-for-bit (math/matn.hpp)
-  // with zero heap traffic in the step loop.
+  // Fixed-size (stack) state math: EkfN<2>/MatN<2,2> run the step loop
+  // with zero heap traffic. test_matn pins their arithmetic; the
+  // rts_offline golden scenario bounds the smoothed track's error.
   const double g = params.gravity;
   const double c = 2.0 * params.drag_k() / params.mass_kg;
   const bool drift = cfg.use_paper_drift_term;
@@ -279,8 +277,8 @@ GradeTrack run_grade_ekf_with_baro(
   const double v0 = measurements.empty() ? 0.0 : measurements.front().v;
   const double z0 = barometer.empty() ? 0.0 : barometer.front().value;
 
-  // 3-state [z, v, theta] filter on fixed-size math (bit-identical to the
-  // dynamic EKF it replaced; zero heap allocation per IMU sample).
+  // 3-state [z, v, theta] filter on fixed-size math (zero heap allocation
+  // per IMU sample).
   MatN<3, 3> p0;
   p0(0, 0) = 25.0;
   p0(1, 1) = cfg.initial_speed_var;

@@ -11,11 +11,11 @@
 // drift term is the paper's Eq. 4/5; it can be disabled for ablation.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "math/kalman.hpp"
 #include "sensors/trace.hpp"
 #include "vehicle/params.hpp"
 
@@ -70,12 +70,11 @@ struct GradeTrack {
 /// Incremental interface (useful for streaming / examples).
 ///
 /// The 2-state filter is hand-rolled (state and covariance unpacked into
-/// five doubles) so one predict+update costs zero heap allocations: the
-/// online estimator runs it per 50 Hz IMU push. Every expression mirrors
-/// what math::ExtendedKalmanFilter computes for this model, in the same
-/// association order, so results are bit-identical to the generic filter
-/// (pinned by test_grade_ekf.MatchesGenericEkfBitExact) and the batch
-/// pipeline goldens are unaffected.
+/// five doubles) so one predict+update costs zero heap allocations:
+/// run_grade_ekf runs it per IMU sample. Every expression is what
+/// math::EkfN<2> computes for this model, in the same association order,
+/// so results are bit-identical to the generic filter (pinned by
+/// GradeEkf.MatchesGenericEkfBitExact).
 class GradeEkf {
  public:
   GradeEkf(const vehicle::VehicleParams& params, const GradeEkfConfig& cfg,

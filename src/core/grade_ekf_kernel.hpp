@@ -2,11 +2,10 @@
 //
 // The predict/update arithmetic of GradeEkf lives here as inline functions
 // over a 5-double state so the scalar filter (grade_ekf.cpp) and the SoA
-// batch filter (grade_ekf_batch.cpp) share one definition: the expressions
-// and association order are exactly the hand-rolled unrolled generic-EKF
-// computation that the class has carried since PR 3, so the extraction is
-// pure code motion and every scalar result stays bit-identical (pinned by
-// test_grade_ekf.MatchesGenericEkfBitExact and the golden scenarios).
+// batch filter (grade_ekf_batch.cpp) share one definition. The expressions
+// and association order are the generic EKF (math::EkfN<2>) unrolled for
+// this model, bit for bit (pinned by GradeEkf.MatchesGenericEkfBitExact
+// and OnlinePins).
 //
 // `sin_fn`/`cos_fn` are injected so the batch kernel can substitute the
 // vectorizable polynomial versions under RGE_SIMD=ON while the scalar
@@ -16,7 +15,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "math/matrix.hpp"
+#include "math/singular.hpp"
 
 namespace rge::core::ekf_kernel {
 
@@ -90,7 +89,8 @@ inline bool update_velocity(StateRef s, double v_meas, double variance,
   const double y = v_meas - s.v;
   const double sc = s.p00 + variance;
   if (std::abs(sc) < 1e-300) {
-    throw math::SingularMatrixError("Mat::inverse: singular matrix");
+    throw math::SingularMatrixError(
+        "update_velocity: singular innovation covariance");
   }
   const double s_inv = 1.0 / sc;
   const double nis = y * (s_inv * y);

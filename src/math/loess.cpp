@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "math/matrix.hpp"
+#include "math/singular.hpp"
 #include "math/small_solve.hpp"
 #include "math/stats.hpp"
 
@@ -67,10 +67,9 @@ double LoessSmoother::fit_at(std::span<const double> x,
   if (max_dist <= 0.0) max_dist = 1.0;
 
   // Weighted polynomial least squares: build normal equations. The p x p
-  // system lives on the stack (p <= 3) and detail::solve_small mirrors
-  // Mat::solve bit-for-bit, so this is the old Mat/Vec code minus its
-  // per-point heap allocations (the online detector calls fit_at per
-  // smoothing-window sample at 10 Hz).
+  // system lives on the stack (p <= 3), so a fit costs no heap allocation
+  // (the online detector calls fit_at per smoothing-window sample at
+  // 10 Hz). SurveyPins pins its results.
   const int p = cfg_.degree + 1;
   const std::size_t up = static_cast<std::size_t>(p);
   double ata[9] = {};

@@ -1,20 +1,18 @@
-// Fixed-size (compile-time dimension) matrix/vector algebra and EKF steps.
+// Fixed-size (compile-time dimension) matrix/vector algebra and the
+// generic EKF step.
 //
-// The dynamic math::Mat/math::Vec classes allocate their storage on the
-// heap, which is fine for one-shot fusion math but not for per-sample
-// filter loops (run_grade_rts allocates ~30 small matrices per smoothing
-// step). MatN/VecN keep the storage inline (std::array) in the style of
+// MatN/VecN keep their storage inline (std::array) in the style of
 // Miniflie's `ekf.hpp` fixed `float dat[EKF_N][EKF_N]` matrices, so a
 // predict+update costs zero heap allocations and the optimizer can unroll
-// every loop over the compile-time bounds.
+// every loop over the compile-time bounds. Every shape is part of the
+// type, so a dimension mismatch does not compile.
 //
-// Bit-compatibility contract: every operation below replicates the
-// corresponding math::Mat algorithm *line by line* — the same loop
-// structure, accumulation order and association, including Mat's
-// `aik == 0.0` skip in operator*, the partial-pivot selection in
-// inverse()/solve(), and the 0.5*(a+b) symmetrize — so replacing Mat with
-// MatN in a filter changes no result bit (pinned by test_matn against
-// randomized inputs and by the rts_offline golden scenario).
+// Bit contract: the loop structure, accumulation order and association
+// below are fixed (the i/k/j product with its `aik == 0.0` skip, the
+// partial-pivot Gauss-Jordan inverse, the Joseph-form update and the
+// 0.5*(a+b) symmetrize). test_matn pins their results on seeded inputs
+// and BaselinePins the altitude-EKF baseline built on them; reordering any
+// of it moves result bits.
 #pragma once
 
 #include <array>
@@ -22,7 +20,7 @@
 #include <cstddef>
 #include <utility>
 
-#include "math/matrix.hpp"  // SingularMatrixError
+#include "math/singular.hpp"
 
 namespace rge::math {
 
@@ -84,8 +82,7 @@ struct MatN {
   friend MatN operator+(MatN a, const MatN& b) { return a += b; }
   friend MatN operator-(MatN a, const MatN& b) { return a -= b; }
 
-  /// Matrix product, mirroring Mat::operator*(Mat): i/k/j loop order with
-  /// the `aik == 0.0` row-term skip (identical accumulation sequence).
+  /// Matrix product: i/k/j loop order with the `aik == 0.0` row-term skip.
   template <std::size_t C2>
   MatN<R, C2> operator*(const MatN<C, C2>& o) const {
     MatN<R, C2> out;
@@ -101,7 +98,7 @@ struct MatN {
     return out;
   }
 
-  /// Matrix-vector product, mirroring Mat::operator*(Vec) (row accumulator).
+  /// Matrix-vector product (one accumulator per row).
   VecN<R> operator*(const VecN<C>& v) const {
     VecN<R> out;
     for (std::size_t i = 0; i < R; ++i) {
@@ -120,7 +117,8 @@ struct MatN {
     return out;
   }
 
-  /// Gauss-Jordan inverse with partial pivoting, mirroring Mat::inverse().
+  /// Gauss-Jordan inverse with partial pivoting. Throws SingularMatrixError
+  /// when no pivot above 1e-300 remains.
   MatN inverse() const
     requires(R == C)
   {
@@ -137,7 +135,7 @@ struct MatN {
         }
       }
       if (best < 1e-300) {
-        throw SingularMatrixError("Mat::inverse: singular matrix");
+        throw SingularMatrixError("MatN::inverse: singular matrix");
       }
       if (pivot != col) {
         for (std::size_t j = 0; j < n; ++j) {
@@ -163,54 +161,7 @@ struct MatN {
     return inv;
   }
 
-  /// LU solve with partial pivoting, mirroring Mat::solve(Vec).
-  VecN<R> solve(const VecN<R>& b) const
-    requires(R == C)
-  {
-    constexpr std::size_t n = R;
-    MatN lu(*this);
-    std::array<std::size_t, n> perm;
-    for (std::size_t i = 0; i < n; ++i) perm[i] = i;
-    for (std::size_t col = 0; col < n; ++col) {
-      std::size_t pivot = col;
-      double best = std::abs(lu(col, col));
-      for (std::size_t r = col + 1; r < n; ++r) {
-        if (std::abs(lu(r, col)) > best) {
-          best = std::abs(lu(r, col));
-          pivot = r;
-        }
-      }
-      if (best < 1e-300) {
-        throw SingularMatrixError("lu_decompose: singular matrix");
-      }
-      if (pivot != col) {
-        for (std::size_t j = 0; j < n; ++j) std::swap(lu(col, j), lu(pivot, j));
-        std::swap(perm[col], perm[pivot]);
-      }
-      for (std::size_t r = col + 1; r < n; ++r) {
-        const double f = lu(r, col) / lu(col, col);
-        lu(r, col) = f;
-        for (std::size_t j = col + 1; j < n; ++j) lu(r, j) -= f * lu(col, j);
-      }
-    }
-    // Forward substitution on permuted rhs (L has unit diagonal).
-    VecN<R> y;
-    for (std::size_t i = 0; i < n; ++i) {
-      double acc = b[perm[i]];
-      for (std::size_t j = 0; j < i; ++j) acc -= lu(i, j) * y[j];
-      y[i] = acc;
-    }
-    // Back substitution with U.
-    VecN<R> x;
-    for (std::size_t ii = n; ii-- > 0;) {
-      double acc = y[ii];
-      for (std::size_t j = ii + 1; j < n; ++j) acc -= lu(ii, j) * x[j];
-      x[ii] = acc / lu(ii, ii);
-    }
-    return x;
-  }
-
-  /// Mirror of Mat::symmetrize(): average each off-diagonal pair.
+  /// Average each off-diagonal pair: A <- (A + A^T)/2.
   void symmetrize()
     requires(R == C)
   {
@@ -224,19 +175,19 @@ struct MatN {
   }
 };
 
-/// Mirror of math::quadratic_form: x . (A x).
+/// Quadratic form x . (A x).
 template <std::size_t N>
 double quadratic_form_n(const MatN<N, N>& a, const VecN<N>& x) {
   return x.dot(a * x);
 }
 
-/// Fixed-size EKF predict/update steps mirroring ExtendedKalmanFilter.
+/// Generic EKF over an N-dimensional state with a Joseph-form update.
 ///
-/// The dynamic filter takes std::function process/measurement models; at
-/// compile-time dimensions the caller instead evaluates the model at the
-/// prior state itself and passes the propagated state and Jacobian in
-/// (identical inputs, identical arithmetic). `update` returns false when
-/// the NIS gate rejects the measurement, like UpdateResult::accepted.
+/// The caller evaluates its process and measurement models at the prior
+/// state and passes the results in: `predict` takes x_next = f(x, u) and
+/// F = df/dx, `update` takes h(x) and H = dh/dx. `update` returns false
+/// when the NIS gate rejects the measurement (the state is then left
+/// untouched).
 template <std::size_t N>
 class EkfN {
  public:
@@ -247,13 +198,8 @@ class EkfN {
   const VecN<N>& state() const { return x_; }
   const MatN<N, N>& covariance() const { return p_; }
 
-  void set_state(const VecN<N>& x, const MatN<N, N>& p) {
-    x_ = x;
-    p_ = p;
-  }
-
-  /// Mirror of ExtendedKalmanFilter::predict: the caller supplies
-  /// x_next = f(x, u) and f_jac = df/dx evaluated at the *prior* state.
+  /// Propagate: x <- x_next, P <- F P F^T + Q, with x_next = f(x, u) and
+  /// f_jac = df/dx both evaluated at the *prior* state.
   void predict(const VecN<N>& x_next, const MatN<N, N>& f_jac,
                const MatN<N, N>& q) {
     x_ = x_next;
@@ -261,9 +207,11 @@ class EkfN {
     p_.symmetrize();
   }
 
-  /// Mirror of ExtendedKalmanFilter::update. `predicted` is h(x) at the
-  /// prior state and `h_jac` = dh/dx there. Throws SingularMatrixError
-  /// when S is numerically singular, exactly like the dynamic filter.
+  /// Correct with measurement z. `predicted` is h(x) at the prior state
+  /// and `h_jac` = dh/dx there. With `gate_nis > 0`, a measurement whose
+  /// normalized innovation squared exceeds the gate is rejected; the NIS
+  /// is written to `nis_out` either way. Throws SingularMatrixError when
+  /// S = H P H^T + R is numerically singular.
   template <std::size_t M>
   bool update(const VecN<M>& predicted, const MatN<M, N>& h_jac,
               const MatN<M, M>& r, const VecN<M>& z, double gate_nis = 0.0,

@@ -1,26 +1,24 @@
 // Allocation-free LU solve for tiny (n <= 4) row-major systems.
 //
-// Mirrors Mat::solve(Vec) — lu_decompose with partial pivoting, forward
-// substitution on the permuted rhs, back substitution — operation for
-// operation, so swapping a Mat-based solve of the same system for this one
-// changes no result bit. Used by the LOESS normal-equation solves (scalar
-// and batch), where the per-point Mat/Vec temporaries used to be the last
-// heap allocations on the estimator hot path.
+// LU with partial pivoting, forward substitution on the permuted rhs, back
+// substitution. Used by the LOESS normal-equation solves, which run per
+// output point on the estimator hot path; SurveyPins pins its results
+// through the pipeline's smoothed steering series.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
 #include <utility>
 
-#include "math/matrix.hpp"
+#include "math/singular.hpp"
 
 namespace rge::math::detail {
 
 inline constexpr std::size_t kMaxSmallSolve = 4;
 
 /// LU-factor an n x n row-major `a` in place (partial pivoting; L unit
-/// diagonal below, U on/above), recording the row permutation. Mirrors
-/// Mat's lu_decompose; throws SingularMatrixError exactly where it would.
+/// diagonal below, U on/above), recording the row permutation. Throws
+/// SingularMatrixError when no pivot above 1e-300 remains.
 inline void lu_small(std::size_t n, double* a, std::size_t* perm) {
   for (std::size_t i = 0; i < n; ++i) perm[i] = i;
   for (std::size_t col = 0; col < n; ++col) {
@@ -33,7 +31,7 @@ inline void lu_small(std::size_t n, double* a, std::size_t* perm) {
       }
     }
     if (best < 1e-300) {
-      throw SingularMatrixError("lu_decompose: singular matrix");
+      throw SingularMatrixError("lu_small: singular matrix");
     }
     if (pivot != col) {
       for (std::size_t j = 0; j < n; ++j) {
@@ -53,7 +51,7 @@ inline void lu_small(std::size_t n, double* a, std::size_t* perm) {
 
 /// Solve a*x = b for an n x n row-major `a` (n <= kMaxSmallSolve). `a` is
 /// destroyed (overwritten with its LU factors). Throws SingularMatrixError
-/// exactly where Mat::solve would.
+/// like lu_small.
 inline void solve_small(std::size_t n, double* a, const double* b, double* x) {
   std::size_t perm[kMaxSmallSolve];
   lu_small(n, a, perm);
