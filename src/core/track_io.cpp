@@ -1,6 +1,7 @@
 #include "core/track_io.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
@@ -15,13 +16,21 @@ namespace {
 
 constexpr std::string_view kMagic = "# rge-grade-track v1 source=";
 
+[[noreturn]] void fail_row(const std::string& what, std::size_t line_no) {
+  throw std::runtime_error("track CSV: " + what + " at line " +
+                           std::to_string(line_no));
+}
+
+/// One finite field (from_chars also accepts "nan" and "inf").
 double parse_double(std::string_view sv, std::size_t line_no) {
   double value = 0.0;
   const auto [ptr, ec] =
       std::from_chars(sv.data(), sv.data() + sv.size(), value);
   if (ec != std::errc{} || ptr != sv.data() + sv.size()) {
-    throw std::runtime_error("track CSV: bad number '" + std::string(sv) +
-                             "' at line " + std::to_string(line_no));
+    fail_row("bad number '" + std::string(sv) + "'", line_no);
+  }
+  if (!std::isfinite(value)) {
+    fail_row("non-finite value '" + std::string(sv) + "'", line_no);
   }
   return value;
 }
@@ -80,15 +89,22 @@ GradeTrack read_track_csv(std::istream& in) {
     ++line_no;
     if (line.empty()) continue;
     const auto fields = split(line);
-    if (fields.size() != 5) {
-      throw std::runtime_error("track CSV: wrong field count at line " +
-                               std::to_string(line_no));
+    if (fields.size() != 5) fail_row("wrong field count", line_no);
+    const double t = parse_double(fields[0], line_no);
+    const double s = parse_double(fields[1], line_no);
+    const double grade = parse_double(fields[2], line_no);
+    const double grade_var = parse_double(fields[3], line_no);
+    const double speed = parse_double(fields[4], line_no);
+    if (grade_var < 0.0) fail_row("negative grade_var", line_no);
+    // `t` may go backwards: served coverage snapshots do by design.
+    if (!track.s.empty() && s < track.s.back()) {
+      fail_row("decreasing s", line_no);
     }
-    track.t.push_back(parse_double(fields[0], line_no));
-    track.s.push_back(parse_double(fields[1], line_no));
-    track.grade.push_back(parse_double(fields[2], line_no));
-    track.grade_var.push_back(parse_double(fields[3], line_no));
-    track.speed.push_back(parse_double(fields[4], line_no));
+    track.t.push_back(t);
+    track.s.push_back(s);
+    track.grade.push_back(grade);
+    track.grade_var.push_back(grade_var);
+    track.speed.push_back(speed);
   }
   return track;
 }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -89,6 +90,31 @@ TEST(TrackIo, MalformedInputs) {
         "# rge-grade-track v1 source=x\nt,s,grade,grade_var,speed\n"
         "1.0,2.0,abc,0.1,10.0\n");
     EXPECT_THROW(read_track_csv(ss), std::runtime_error);
+  }
+  // Rows that parse as numbers but that no GradeTrack may hold.
+  const std::string header =
+      "# rge-grade-track v1 source=x\nt,s,grade,grade_var,speed\n";
+  for (const char* row : {"0,0,nan,1e-4,10\n", "0.5,5,inf,1e-4,10\n",
+                          "0,-inf,0.01,1e-4,10\n", "1,10,0.01,-1,10\n"}) {
+    std::stringstream ss(header + row);
+    EXPECT_THROW(read_track_csv(ss), std::runtime_error) << row;
+  }
+  {
+    // Decreasing s, reported at the offending line.
+    std::stringstream ss(header + "0,10,0.01,1e-4,10\n1,5,0.01,1e-4,10\n");
+    try {
+      read_track_csv(ss);
+      ADD_FAILURE() << "decreasing s accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+          << e.what();
+    }
+  }
+  {
+    // t may go backwards; s may repeat; grade_var may be zero.
+    std::stringstream ss(header +
+                         "5.0,2.0,0.01,0.1,10.0\n1.0,2.0,0.02,0.0,10.0\n");
+    EXPECT_EQ(read_track_csv(ss).size(), 2u);
   }
   {
     // Blank lines are tolerated.
