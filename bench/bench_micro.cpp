@@ -1,25 +1,30 @@
 // Google-benchmark microbenchmarks: throughput of the estimation stack's
 // hot paths (EKF steps, LOESS smoothing, bump extraction / detection,
 // track fusion, trace CSV parsing), plus the fleet-scale SoA batch kernels
-// against their scalar per-vehicle references. These bound how far the
+// against their scalar per-vehicle references and the trip kernel against
+// one-source runs. These bound how far the
 // pipeline is from real-time on phone-class sample rates (50 Hz IMU).
 //
 // Besides the console report, the run writes BENCH_micro.json (override
 // the path with RGE_BENCH_MICRO_OUT): per-benchmark ns/op and the
-// scalar-vs-batch fleet speedups, the checked-in perf-trajectory artifact
-// for the batch kernels.
+// scalar-vs-batch speedups, the checked-in perf-trajectory artifact for
+// the batch kernels.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <sstream>
+#include <string>
 
+#include "core/alignment.hpp"
 #include "core/bump.hpp"
 #include "core/grade_ekf.hpp"
 #include "core/grade_ekf_batch.hpp"
 #include "core/lane_change_detector.hpp"
 #include "core/pipeline.hpp"
 #include "core/track_fusion.hpp"
+#include "core/velocity_sources.hpp"
 #include "math/interp.hpp"
 #include "math/interp_batch.hpp"
 #include "math/loess.hpp"
@@ -185,6 +190,78 @@ void BM_GradeEkfFleetBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_GradeEkfFleetBatch);
 
+// ---- trip kernel vs one-source runs on one city trip ------------------
+
+/// The EKF-stage inputs of one drive over the longest road of the
+/// 164.8 km city: its aligned IMU timeline and forward specific force,
+/// and its four velocity streams.
+struct TripEkfInputs {
+  std::vector<double> t;
+  std::vector<double> f;
+  std::vector<std::string> names;
+  std::vector<std::vector<core::VelocityMeasurement>> meas;
+  std::vector<core::SourceStream> streams;
+};
+
+const TripEkfInputs& trip_ekf_inputs() {
+  static const TripEkfInputs in = [] {
+    const road::RoadNetwork city = road::make_city_network(2019);
+    const road::Road& road =
+        std::max_element(city.roads().begin(), city.roads().end(),
+                         [](const auto& a, const auto& b) {
+                           return a.road.length_m() < b.road.length_m();
+                         })
+            ->road;
+    vehicle::TripConfig tc;
+    tc.seed = 5;
+    sensors::SmartphoneConfig pc;
+    pc.seed = 6;
+    const sensors::SensorTrace trace = sensors::simulate_sensors(
+        vehicle::simulate_trip(road, tc), road.anchor(),
+        vehicle::VehicleParams{}, pc);
+    const core::AlignedStates aligned = core::align_states(trace);
+    TripEkfInputs r;
+    r.t = aligned.t;
+    r.f = aligned.accel_forward;
+    r.meas = {core::velocity_from_gps(trace),
+              core::velocity_from_speedometer(trace),
+              core::velocity_from_canbus(trace),
+              core::velocity_from_imu(trace)};
+    r.names = {"gps", "speedometer", "canbus", "imu"};
+    for (std::size_t j = 0; j < r.meas.size(); ++j) {
+      r.streams.push_back({r.names[j], r.meas[j]});
+    }
+    return r;
+  }();
+  return in;
+}
+
+void BM_GradeEkfTripPerSource(benchmark::State& state) {
+  const auto& in = trip_ekf_inputs();
+  const vehicle::VehicleParams params{};
+  for (auto _ : state) {
+    for (std::size_t j = 0; j < in.streams.size(); ++j) {
+      benchmark::DoNotOptimize(
+          core::run_grade_ekf(in.names[j], in.t, in.f, in.meas[j], params));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(in.t.size()));
+}
+BENCHMARK(BM_GradeEkfTripPerSource);
+
+void BM_GradeEkfTripKernel(benchmark::State& state) {
+  const auto& in = trip_ekf_inputs();
+  const vehicle::VehicleParams params{};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::run_grade_ekf_trip(in.t, in.f, in.streams, params));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(in.t.size()));
+}
+BENCHMARK(BM_GradeEkfTripKernel);
+
 constexpr std::size_t kInterpKeys = 20000;
 constexpr std::size_t kInterpQueries = 50000;
 
@@ -273,6 +350,8 @@ void write_bench_json(const std::map<std::string, double>& ns_per_op) {
       {"fleet_lanes", kFleetLanes},
       {"interp_keys", kInterpKeys},
       {"interp_queries", kInterpQueries},
+      {"trip_imu_steps", trip_ekf_inputs().t.size()},
+      {"trip_sources", trip_ekf_inputs().streams.size()},
   };
   const auto speedup = [&](const char* scalar, const char* batch,
                            const char* key) {
@@ -285,6 +364,8 @@ void write_bench_json(const std::map<std::string, double>& ns_per_op) {
   speedup("BM_GradeEkfFleetScalar", "BM_GradeEkfFleetBatch",
           "ekf_fleet_predict");
   speedup("BM_ResampleScalar", "BM_ResampleBatch", "interp_resample");
+  speedup("BM_GradeEkfTripPerSource", "BM_GradeEkfTripKernel",
+          "ekf_trip_kernel");
   const char* out = std::getenv("RGE_BENCH_MICRO_OUT");
   rge::testing::write_json_file(rge::testing::Json(doc),
                                 out != nullptr ? out : "BENCH_micro.json");

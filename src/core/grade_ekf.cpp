@@ -72,50 +72,6 @@ bool GradeEkf::update_velocity(double v_meas, double variance) {
   return ekf_kernel::update_velocity(s, v_meas, variance, cfg_.gate_nis);
 }
 
-GradeTrack run_grade_ekf(const std::string& source_name,
-                         std::span<const double> t,
-                         std::span<const double> accel_forward,
-                         const std::vector<VelocityMeasurement>& measurements,
-                         const vehicle::VehicleParams& params,
-                         const GradeEkfConfig& cfg) {
-  if (t.size() != accel_forward.size()) {
-    throw std::invalid_argument("run_grade_ekf: size mismatch");
-  }
-  GradeTrack track;
-  track.source = source_name;
-  if (t.empty()) return track;
-
-  // Initialize the velocity from the first measurement when available.
-  const double v0 = measurements.empty() ? 0.0 : measurements.front().v;
-  GradeEkf ekf(params, cfg, v0, 0.0);
-
-  std::size_t m_idx = 0;
-  double odometry = 0.0;
-  const std::size_t decim = std::max<std::size_t>(1, cfg.record_decimation);
-
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    const double dt = i > 0 ? t[i] - t[i - 1] : 0.0;
-    if (dt > 0.0) {
-      ekf.predict(accel_forward[i], dt);
-      odometry += ekf.speed() * dt;
-    }
-    while (m_idx < measurements.size() && measurements[m_idx].t <= t[i]) {
-      ekf.update_velocity(measurements[m_idx].v, measurements[m_idx].variance);
-      ++m_idx;
-    }
-    if (i % decim == 0) {
-      track.t.push_back(t[i]);
-      track.grade.push_back(ekf.grade());
-      track.grade_var.push_back(ekf.grade_variance());
-      track.speed.push_back(ekf.speed());
-      track.s.push_back(odometry);
-    }
-  }
-  return track;
-}
-
-
-
 GradeTrack run_grade_rts(const std::string& source_name,
                          std::span<const double> t,
                          std::span<const double> accel_forward,

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sensors/trace.hpp"
@@ -67,14 +68,15 @@ struct GradeTrack {
   void validate() const;
 };
 
-/// Incremental interface (useful for streaming / examples).
+/// Incremental interface: the scalar reference filter.
 ///
 /// The 2-state filter is hand-rolled (state and covariance unpacked into
-/// five doubles) so one predict+update costs zero heap allocations:
-/// run_grade_ekf runs it per IMU sample. Every expression is what
-/// math::EkfN<2> computes for this model, in the same association order,
-/// so results are bit-identical to the generic filter (pinned by
-/// GradeEkf.MatchesGenericEkfBitExact).
+/// five doubles) so one predict+update costs zero heap allocations. Every
+/// expression is what math::EkfN<2> computes for this model, in the same
+/// association order, so results are bit-identical to the generic filter
+/// (pinned by GradeEkf.MatchesGenericEkfBitExact). The library runs its
+/// filters on the lane kernels (run_grade_ekf_trip, GradeEkfBatch); their
+/// parity tests step this class over the same inputs.
 class GradeEkf {
  public:
   GradeEkf(const vehicle::VehicleParams& params, const GradeEkfConfig& cfg,
@@ -100,9 +102,40 @@ class GradeEkf {
   double p11_ = 0.0;
 };
 
-/// Batch runner: walk an IMU-rate accelerometer series, interleaving the
-/// velocity measurements by timestamp, and record the gradient track.
-/// `t` and `accel_forward` share the IMU timeline; `measurements` must be
+/// One velocity source of a trip: its track name and its time-sorted
+/// measurement stream.
+struct SourceStream {
+  std::string_view name;
+  std::span<const VelocityMeasurement> measurements;
+};
+
+/// Most sources one run_grade_ekf_trip call steps together: the four
+/// velocity sources of estimate_gradient.
+inline constexpr std::size_t kTripKernelLanes = 4;
+
+/// Trip kernel: one causal EKF per source over a shared IMU timeline,
+/// stepped in lockstep as the lanes of one loop (DESIGN.md §8). Each IMU
+/// step runs one predict for all lanes on the shared (f, dt), then each
+/// lane's velocity updates (measurements with t <= t[i]), odometry and,
+/// every `record_decimation`-th step, a record. tracks[j] is source j's.
+/// A lane starts at its first measurement's speed (0 with none).
+///
+/// RGE_SIMD=OFF: each track is bit-identical to stepping a GradeEkf over
+/// the same inputs. RGE_SIMD=ON: the predict is the vectorized lane body
+/// (ekf_kernel::predict_simd), within §8's trace tolerance of that; the
+/// update, odometry and records are exact. In both modes a track's bits
+/// depend neither on the other sources nor on its lane.
+/// @throws std::invalid_argument on a t/accel_forward size mismatch or
+///         more than kTripKernelLanes sources.
+std::vector<GradeTrack> run_grade_ekf_trip(
+    std::span<const double> t, std::span<const double> accel_forward,
+    std::span<const SourceStream> sources,
+    const vehicle::VehicleParams& params, const GradeEkfConfig& cfg = {});
+
+/// Causal runner for one source: run_grade_ekf_trip with one lane. Walks
+/// an IMU-rate accelerometer series, interleaving the velocity
+/// measurements by timestamp, and records the gradient track. `t` and
+/// `accel_forward` share the IMU timeline; `measurements` must be
 /// time-sorted.
 GradeTrack run_grade_ekf(const std::string& source_name,
                          std::span<const double> t,

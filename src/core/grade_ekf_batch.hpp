@@ -9,9 +9,10 @@
 // Parity contract (DESIGN.md §8):
 //   RGE_SIMD=OFF  predict runs the scalar kernel per lane — bit-identical
 //                 to stepping N GradeEkf instances.
-//   RGE_SIMD=ON   predict runs a vectorized lane loop under host-tuned
-//                 flags with polynomial sin/cos (math/simd.hpp): same
-//                 operation sequence, pinned tolerance vs scalar
+//   RGE_SIMD=ON   predict runs a vectorized lane loop over
+//                 ekf_kernel::predict_simd under host-tuned flags, with
+//                 polynomial sin/cos (math/simd.hpp): same operation
+//                 sequence, pinned tolerance vs scalar
 //                 (poly error < 1 ulp over the clamped grade range plus
 //                 possible FMA contraction).
 // In both modes the lane arrays are padded to a multiple of

@@ -1,20 +1,23 @@
-// Scalar per-lane kernels of the 2-state grade EKF (paper Section III-C).
+// Per-lane kernels of the 2-state grade EKF (paper Section III-C).
 //
 // The predict/update arithmetic of GradeEkf lives here as inline functions
-// over a 5-double state so the scalar filter (grade_ekf.cpp) and the SoA
-// batch filter (grade_ekf_batch.cpp) share one definition. The expressions
-// and association order are the generic EKF (math::EkfN<2>) unrolled for
+// over a 5-double state so the scalar filter (grade_ekf.cpp), the SoA
+// batch filter (grade_ekf_batch.cpp) and the trip kernel
+// (grade_ekf_trip.cpp) share one definition. The expressions and
+// association order are the generic EKF (math::EkfN<2>) unrolled for
 // this model, bit for bit (pinned by GradeEkf.MatchesGenericEkfBitExact
 // and OnlinePins).
 //
-// `sin_fn`/`cos_fn` are injected so the batch kernel can substitute the
-// vectorizable polynomial versions under RGE_SIMD=ON while the scalar
-// filter keeps libm.
+// `sin_fn`/`cos_fn` are injected so callers choose the sin/cos; the scalar
+// filter and every RGE_SIMD=OFF lane loop use libm. predict_simd is the
+// vectorizable form of the same step that the RGE_SIMD=ON lane loops
+// (the fleet store and the trip kernel) run.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 
+#include "math/simd.hpp"
 #include "math/singular.hpp"
 
 namespace rge::core::ekf_kernel {
@@ -79,6 +82,64 @@ inline void predict(StateRef s, double specific_force, double dt, double g,
   s.p00 = b00 + qv;
   s.p11 = b11 + grade_process_psd * dt;
   s.p01 = 0.5 * (b01 + b10);  // symmetrize
+}
+
+/// Per-lane constants of predict_simd, hoisted out of the lane loops.
+struct SimdPredictConsts {
+  double g = 0.0;
+  double inv_g = 0.0;    ///< 1 / g
+  double c = 0.0;        ///< 2*drag_k/m (Eq. 4 coefficient)
+  double drift = 1.0;    ///< 1.0 with the Eq. 4 drift term, 0.0 without
+  double accel_sigma = 0.0;
+  double psd = 0.0;      ///< grade_process_psd
+};
+
+/// The lane body of the RGE_SIMD=ON predict loops: predict's operation
+/// sequence with polynomial sin/cos (math::lane_sin/lane_cos), one
+/// reciprocal per lane and g hoisted into inv_g, and no branches, so GCC
+/// vectorizes a loop that calls it. The drift term enters as a 0/1
+/// multiplier: the vectorizer will not if-convert a division guarded by
+/// `drift ? ... : ...` under default trapping math. A lane with
+/// `on == false` keeps its state; every lane runs the same instructions,
+/// which makes the loops invariant under lane permutation.
+inline void predict_simd(StateRef s, double f_hat, double dt, bool on,
+                         const SimdPredictConsts& k) {
+  const double v = s.v;
+  const double theta = s.th;
+  const double p00 = s.p00;
+  const double p01 = s.p01;
+  const double p11 = s.p11;
+
+  const double cth = math::lane_cos(theta);
+  const double sth = math::lane_sin(theta);
+  // |theta| <= kMaxGradeRad, so cth >= cos(0.35) > 0.9 and the division
+  // never traps.
+  const double inv_cth = 1.0 / cth;
+  const double drift_gain = k.drift * k.c * f_hat * dt * k.inv_g * inv_cth;
+  const double j01 = -k.g * cth * dt;
+  const double j10 = drift_gain;
+  const double j11 = 1.0 + drift_gain * v * sth * inv_cth;
+
+  double v_next = v + (f_hat - k.g * sth) * dt;
+  v_next = std::max(0.0, v_next);
+  double theta_next = theta + drift_gain * v;
+  theta_next = std::clamp(theta_next, -kMaxGradeRad, kMaxGradeRad);
+
+  const double a00 = 1.0 * p00 + j01 * p01;
+  const double a01 = 1.0 * p01 + j01 * p11;
+  const double a10 = j10 * p00 + j11 * p01;
+  const double a11 = j10 * p01 + j11 * p11;
+  const double b00 = a00 * 1.0 + a01 * j01;
+  const double b01 = a00 * j10 + a01 * j11;
+  const double b10 = a10 * 1.0 + a11 * j01;
+  const double b11 = a10 * j10 + a11 * j11;
+  const double qv = k.accel_sigma * k.accel_sigma * dt * dt;
+
+  s.v = on ? v_next : v;
+  s.th = on ? theta_next : theta;
+  s.p00 = on ? b00 + qv : p00;
+  s.p01 = on ? 0.5 * (b01 + b10) : p01;
+  s.p11 = on ? b11 + k.psd * dt : p11;
 }
 
 /// One velocity update (H = [1, 0]), mirroring GradeEkf::update_velocity.

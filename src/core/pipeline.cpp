@@ -12,8 +12,9 @@ namespace rge::core {
 
 namespace {
 
-/// Full pipeline over one trace. When `pool` is non-null the per-source
-/// EKF/RTS runs fan out as nested pool tasks; each writes only its own
+/// Full pipeline over one trace. The causal per-source EKFs run as the
+/// lanes of one trip-kernel call. When `pool` is non-null the per-source
+/// RTS smoothers fan out as nested pool tasks; each writes only its own
 /// track slot, so the output is bit-identical to the serial path.
 PipelineResult estimate_gradient_impl(const sensors::SensorTrace& trace,
                                       const vehicle::VehicleParams& params,
@@ -188,31 +189,35 @@ PipelineResult estimate_gradient_impl(const sensors::SensorTrace& trace,
       jobs.push_back({"imu", velocity_from_imu(*active, config.sources)});
     }
     std::erase_if(jobs, [](const SourceJob& j) { return j.meas.empty(); });
-
-    std::vector<GradeTrack> slots(jobs.size());
-    const auto run_job = [&](std::size_t j) {
-      OBS_SPAN_DYN(std::string("pipeline.ekf:") + jobs[j].name);
-      std::vector<VelocityMeasurement> meas = std::move(jobs[j].meas);
-      if (config.enable_lane_change_adjustment) {
-        meas = apply_lane_change_adjustment(std::move(meas), result.det_t,
-                                            result.det_steer_raw,
-                                            result.lane_changes);
+    if (config.enable_lane_change_adjustment) {
+      for (SourceJob& job : jobs) {
+        job.meas = apply_lane_change_adjustment(std::move(job.meas),
+                                                result.det_t,
+                                                result.det_steer_raw,
+                                                result.lane_changes);
       }
-      if (config.use_rts_smoother) {
-        slots[j] = run_grade_rts(jobs[j].name, aligned.t, accel_for_ekf, meas,
-                                 params, config.ekf, config.rts_rate_hz);
-      } else {
-        slots[j] = run_grade_ekf(jobs[j].name, aligned.t, accel_for_ekf, meas,
-                                 params, config.ekf);
-      }
-    };
-    if (pool != nullptr && jobs.size() > 1) {
-      runtime::parallel_for(*pool, jobs.size(), run_job);
-    } else {
-      for (std::size_t j = 0; j < jobs.size(); ++j) run_job(j);
     }
-    result.tracks.reserve(slots.size());
-    for (auto& track : slots) result.tracks.push_back(std::move(track));
+
+    if (config.use_rts_smoother) {
+      result.tracks.resize(jobs.size());
+      const auto run_job = [&](std::size_t j) {
+        OBS_SPAN_DYN(std::string("pipeline.ekf:") + jobs[j].name);
+        result.tracks[j] =
+            run_grade_rts(jobs[j].name, aligned.t, accel_for_ekf, jobs[j].meas,
+                          params, config.ekf, config.rts_rate_hz);
+      };
+      if (pool != nullptr && jobs.size() > 1) {
+        runtime::parallel_for(*pool, jobs.size(), run_job);
+      } else {
+        for (std::size_t j = 0; j < jobs.size(); ++j) run_job(j);
+      }
+    } else {
+      std::vector<SourceStream> sources;
+      sources.reserve(jobs.size());
+      for (const SourceJob& job : jobs) sources.push_back({job.name, job.meas});
+      result.tracks = run_grade_ekf_trip(aligned.t, accel_for_ekf, sources,
+                                         params, config.ekf);
+    }
   }
 
   if (result.tracks.empty()) {

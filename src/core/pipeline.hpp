@@ -103,8 +103,9 @@ PipelineResult estimate_gradient(const sensors::SensorTrace& trace,
 
 /// Batch driver of the parallel runtime: run the full pipeline over many
 /// traces on a thread pool of `n_threads` workers (0 picks the hardware
-/// concurrency). Trips fan out across the pool, and within each trip the
-/// per-source EKF/RTS tracks run concurrently as nested tasks.
+/// concurrency). Trips fan out across the pool. Each trip's causal
+/// per-source EKFs run as the lanes of one run_grade_ekf_trip call; with
+/// use_rts_smoother the per-source smoothers run as nested tasks.
 ///
 /// Determinism guarantee: results[i] is bit-identical to
 /// `estimate_gradient(traces[i], params, config)` — every per-trip

@@ -74,19 +74,20 @@ std::vector<VelocityMeasurement> velocity_from_imu(
 
 std::vector<VelocityMeasurement> apply_lane_change_adjustment(
     std::vector<VelocityMeasurement> measurements,
-    std::span<const double> imu_t, std::span<const double> w_steer,
+    std::span<const double> steer_t, std::span<const double> w_steer,
     const std::vector<DetectedLaneChange>& changes) {
-  if (imu_t.size() != w_steer.size()) {
+  if (steer_t.size() != w_steer.size()) {
     throw std::invalid_argument(
         "apply_lane_change_adjustment: steering series size mismatch");
   }
   for (const auto& lc : changes) {
-    // Integrate alpha over the window on the IMU timeline.
+    // Integrate alpha over the window on the steering series' timeline.
     const auto begin_it =
-        std::lower_bound(imu_t.begin(), imu_t.end(), lc.t_start);
-    const auto end_it = std::upper_bound(imu_t.begin(), imu_t.end(), lc.t_end);
-    const auto i0 = static_cast<std::size_t>(begin_it - imu_t.begin());
-    const auto i1 = static_cast<std::size_t>(end_it - imu_t.begin());
+        std::lower_bound(steer_t.begin(), steer_t.end(), lc.t_start);
+    const auto end_it =
+        std::upper_bound(steer_t.begin(), steer_t.end(), lc.t_end);
+    const auto i0 = static_cast<std::size_t>(begin_it - steer_t.begin());
+    const auto i1 = static_cast<std::size_t>(end_it - steer_t.begin());
     if (i0 >= i1) continue;
 
     std::vector<double> alpha_t;
@@ -95,9 +96,9 @@ std::vector<VelocityMeasurement> apply_lane_change_adjustment(
     alpha_v.reserve(i1 - i0);
     double alpha = 0.0;
     for (std::size_t i = i0; i < i1; ++i) {
-      const double omega = i > i0 ? imu_t[i] - imu_t[i - 1] : 0.0;
+      const double omega = i > i0 ? steer_t[i] - steer_t[i - 1] : 0.0;
       alpha += w_steer[i] * omega;
-      alpha_t.push_back(imu_t[i]);
+      alpha_t.push_back(steer_t[i]);
       alpha_v.push_back(alpha);
     }
 

@@ -47,10 +47,13 @@ std::vector<VelocityMeasurement> velocity_from_imu(
 
 /// Apply the Eq. 2 lane-change adjustment to an arbitrary measurement
 /// stream: inside each detected window, v is scaled by cos(alpha(t)) where
-/// alpha is integrated from w_steer on the IMU timeline.
+/// alpha is integrated from the steering-rate series (`steer_t`,
+/// `w_steer`). The pipeline passes its detection-rate series (det_t and
+/// the raw steering rate, 10 Hz by default).
+/// @throws std::invalid_argument if steer_t and w_steer differ in size.
 std::vector<VelocityMeasurement> apply_lane_change_adjustment(
     std::vector<VelocityMeasurement> measurements,
-    std::span<const double> imu_t, std::span<const double> w_steer,
+    std::span<const double> steer_t, std::span<const double> w_steer,
     const std::vector<DetectedLaneChange>& changes);
 
 }  // namespace rge::core

@@ -13,7 +13,6 @@
 
 #include "obs/obs.hpp"
 #include "testing/harness.hpp"
-#include "testing/scenario.hpp"
 
 namespace {
 
@@ -96,7 +95,10 @@ TEST(ObsPerf, InstrumentedScenarioRunEmitsArtifacts) {
   const std::string trace = dir + "rge_perf_trace.json";
 
   rge::testing::HarnessOptions opts;
-  opts.scenarios = {rge::testing::scenario_matrix().front().name};
+  // Three trips on two threads, so the batch pipeline hands trips to the
+  // pool and pool.tasks_submitted is counted. A one-trip run submits no
+  // helper task: the trip's sources step in one trip-kernel call.
+  opts.scenarios = {"cloud_fusion_x3"};
   opts.bench_out = bench;
   opts.trace_out = trace;
   opts.thread_counts = {2};

@@ -10,6 +10,13 @@
 // resampling, alignment, landmark or filter code that moves a
 // single output bit fails here. Change a pin only for a deliberate
 // numerical change, and record why in the change log.
+//
+// The pipeline pins have two sets. The causal EKFs run on the trip kernel
+// (run_grade_ekf_trip), whose predict under RGE_SIMD=ON uses polynomial
+// sin/cos and hoisted reciprocals (DESIGN.md §8): one value holds under
+// RGE_SIMD=OFF, where every output equals the libm scalar path, and one
+// under ON, in the default and the sanitizer builds alike (the kernel TU
+// compiles with -ffp-contract=off).
 #include <cstdint>
 #include <map>
 #include <string>
@@ -20,27 +27,24 @@
 #include "baselines/ekf_altitude.hpp"
 #include "core/online_estimator.hpp"
 #include "core/pipeline.hpp"
+#include "math/simd.hpp"
 #include "planning/city_gen.hpp"
 #include "planning/csr_graph.hpp"
 #include "road/network.hpp"
-#include "sensors/smartphone.hpp"
+#include "sensors/trace.hpp"
 #include "testing/fault_injection.hpp"
 #include "testing/network_survey.hpp"
 #include "testing/scenario.hpp"
-#include "vehicle/trip.hpp"
+#include "vehicle/params.hpp"
 
 #include "fnv1a.hpp"
+#include "pin_inputs.hpp"
 
 namespace rge {
 namespace {
 
 using testing::Fnv1a;
-
-/// Each scenario stream is pinned clean and under the three faults the
-/// velocity gate sees, hashed in this order.
-constexpr testing::FaultKind kPinFaults[] = {
-    testing::FaultKind::kNone, testing::FaultKind::kAccelBiasRamp,
-    testing::FaultKind::kGpsSpoofJump, testing::FaultKind::kStuckSensor};
+using testing::kPinFaults;
 
 void hash_lane_changes(Fnv1a& h,
                        const std::vector<core::DetectedLaneChange>& lcs) {
@@ -90,41 +94,20 @@ std::uint64_t fingerprint(const core::PipelineResult& r) {
   return h.value();
 }
 
-core::PipelineResult run_trip(const road::Road& road,
-                              const vehicle::TripConfig& tc,
-                              const sensors::SmartphoneConfig& pc) {
-  const vehicle::Trip trip = vehicle::simulate_trip(road, tc);
-  const sensors::SensorTrace trace = sensors::simulate_sensors(
-      trip, road.anchor(), vehicle::VehicleParams{}, pc);
-  return core::estimate_gradient(trace, vehicle::VehicleParams{});
-}
-
 TEST(SurveyPins, PipelineOutputsOnLaneChangeTrip) {
-  // Table III route with frequent lane changes: the Eq. 2 adjustment
-  // resamples three detection-rate series onto the IMU timeline.
-  vehicle::TripConfig tc;
-  tc.seed = 21;
-  tc.lane_changes_per_km = 5.0;
-  sensors::SmartphoneConfig pc;
-  pc.seed = 28;
-  const auto res = run_trip(road::make_table3_route(2019), tc, pc);
+  const auto res = core::estimate_gradient(testing::lane_change_pin_trace(),
+                                           vehicle::VehicleParams{});
   ASSERT_FALSE(res.lane_changes.empty());
-  EXPECT_EQ(fingerprint(res), 0x8ce50b67c518b795ull);
+  EXPECT_EQ(fingerprint(res), math::simd_enabled() ? 0x12a45253db658669ull
+                                                   : 0x8ce50b67c518b795ull);
 }
 
 TEST(SurveyPins, PipelineOutputsOnCityRoadWithMountYawAndOutage) {
-  // A city road driven with a rotated phone and a GPS outage: the mount
-  // derotation and the outage fallback of the alignment stage both run.
-  const road::RoadNetwork net = road::make_city_network(2019);
-  vehicle::TripConfig tc;
-  tc.seed = 77;
-  sensors::SmartphoneConfig pc;
-  pc.seed = 78;
-  pc.mount_yaw_rad = 0.12;
-  pc.gps_outages = {{40.0, 70.0}};
-  const auto res = run_trip(net.roads()[5].road, tc, pc);
+  const auto res = core::estimate_gradient(testing::city_pin_trace(),
+                                           vehicle::VehicleParams{});
   ASSERT_TRUE(res.mount.reliable);
-  EXPECT_EQ(fingerprint(res), 0x2d78400854f3c5f1ull);
+  EXPECT_EQ(fingerprint(res), math::simd_enabled() ? 0x986e295f18a53df8ull
+                                                   : 0x2d78400854f3c5f1ull);
 }
 
 TEST(SurveyPins, LandmarkPotentialsOnCityNetwork) {
