@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks: throughput of the estimation stack's
 // hot paths (EKF steps, LOESS smoothing, bump extraction / detection,
 // track fusion, trace CSV parsing), plus the fleet-scale SoA batch kernels
-// against their scalar per-vehicle references and the trip kernel against
-// one-source runs. These bound how far the
+// against their scalar per-vehicle references, the trip kernel against
+// one-source runs, and the online estimator streaming one city trip.
+// These bound how far the
 // pipeline is from real-time on phone-class sample rates (50 Hz IMU).
 //
 // Besides the console report, the run writes BENCH_micro.json (override
@@ -22,6 +23,7 @@
 #include "core/grade_ekf.hpp"
 #include "core/grade_ekf_batch.hpp"
 #include "core/lane_change_detector.hpp"
+#include "core/online_estimator_batch.hpp"
 #include "core/pipeline.hpp"
 #include "core/track_fusion.hpp"
 #include "core/velocity_sources.hpp"
@@ -192,19 +194,9 @@ BENCHMARK(BM_GradeEkfFleetBatch);
 
 // ---- trip kernel vs one-source runs on one city trip ------------------
 
-/// The EKF-stage inputs of one drive over the longest road of the
-/// 164.8 km city: its aligned IMU timeline and forward specific force,
-/// and its four velocity streams.
-struct TripEkfInputs {
-  std::vector<double> t;
-  std::vector<double> f;
-  std::vector<std::string> names;
-  std::vector<std::vector<core::VelocityMeasurement>> meas;
-  std::vector<core::SourceStream> streams;
-};
-
-const TripEkfInputs& trip_ekf_inputs() {
-  static const TripEkfInputs in = [] {
+/// One drive over the longest road of the 164.8 km city.
+const sensors::SensorTrace& city_trip() {
+  static const sensors::SensorTrace trace = [] {
     const road::RoadNetwork city = road::make_city_network(2019);
     const road::Road& road =
         std::max_element(city.roads().begin(), city.roads().end(),
@@ -216,9 +208,26 @@ const TripEkfInputs& trip_ekf_inputs() {
     tc.seed = 5;
     sensors::SmartphoneConfig pc;
     pc.seed = 6;
-    const sensors::SensorTrace trace = sensors::simulate_sensors(
-        vehicle::simulate_trip(road, tc), road.anchor(),
-        vehicle::VehicleParams{}, pc);
+    return sensors::simulate_sensors(vehicle::simulate_trip(road, tc),
+                                     road.anchor(), vehicle::VehicleParams{},
+                                     pc);
+  }();
+  return trace;
+}
+
+/// The EKF-stage inputs of city_trip(): its aligned IMU timeline and
+/// forward specific force, and its four velocity streams.
+struct TripEkfInputs {
+  std::vector<double> t;
+  std::vector<double> f;
+  std::vector<std::string> names;
+  std::vector<std::vector<core::VelocityMeasurement>> meas;
+  std::vector<core::SourceStream> streams;
+};
+
+const TripEkfInputs& trip_ekf_inputs() {
+  static const TripEkfInputs in = [] {
+    const sensors::SensorTrace& trace = city_trip();
     const core::AlignedStates aligned = core::align_states(trace);
     TripEkfInputs r;
     r.t = aligned.t;
@@ -261,6 +270,19 @@ void BM_GradeEkfTripKernel(benchmark::State& state) {
                           static_cast<int64_t>(in.t.size()));
 }
 BENCHMARK(BM_GradeEkfTripKernel);
+
+/// city_trip() streamed through one online estimator (run_online_batch
+/// on a one-trace fleet runs on the caller), items = IMU steps.
+void BM_OnlineEstimatorTrip(benchmark::State& state) {
+  const std::vector<sensors::SensorTrace> fleet{city_trip()};
+  const vehicle::VehicleParams params{};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::run_online_batch(fleet, params, {}, 1));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(fleet.front().imu.size()));
+}
+BENCHMARK(BM_OnlineEstimatorTrip);
 
 constexpr std::size_t kInterpKeys = 20000;
 constexpr std::size_t kInterpQueries = 50000;
@@ -366,6 +388,11 @@ void write_bench_json(const std::map<std::string, double>& ns_per_op) {
   speedup("BM_ResampleScalar", "BM_ResampleBatch", "interp_resample");
   speedup("BM_GradeEkfTripPerSource", "BM_GradeEkfTripKernel",
           "ekf_trip_kernel");
+  const auto online = ns_per_op.find("BM_OnlineEstimatorTrip");
+  if (online != ns_per_op.end()) {
+    doc["ns_per_imu_step"]["online_estimator_trip"] =
+        online->second / static_cast<double>(city_trip().imu.size());
+  }
   const char* out = std::getenv("RGE_BENCH_MICRO_OUT");
   rge::testing::write_json_file(rge::testing::Json(doc),
                                 out != nullptr ? out : "BENCH_micro.json");

@@ -11,11 +11,13 @@
 // `sin_fn`/`cos_fn` are injected so callers choose the sin/cos; the scalar
 // filter and every RGE_SIMD=OFF lane loop use libm. predict_simd is the
 // vectorizable form of the same step that the RGE_SIMD=ON lane loops
-// (the fleet store and the trip kernel) run.
+// (the fleet store, and predict_lanes under the trip kernel and the
+// online estimator) run.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "math/simd.hpp"
 #include "math/singular.hpp"
@@ -24,6 +26,9 @@ namespace rge::core::ekf_kernel {
 
 /// ~20 degrees; physical sanity clamp on the gradient state.
 inline constexpr double kMaxGradeRad = 0.35;
+
+/// Lanes of predict_lanes: one AVX2 vector of doubles.
+inline constexpr std::size_t kLanes = 4;
 
 /// One lane's filter state: x = [v, theta] and the symmetric covariance.
 struct StateRef {
@@ -140,6 +145,36 @@ inline void predict_simd(StateRef s, double f_hat, double dt, bool on,
   s.p00 = on ? b00 + qv : p00;
   s.p01 = on ? 0.5 * (b01 + b10) : p01;
   s.p11 = on ? b11 + k.psd * dt : p11;
+}
+
+/// One predict of kLanes filters that share (f, dt > 0): lane j advances
+/// iff on[j] != 0. Under RGE_SIMD=ON every lane runs predict_simd, which
+/// a caller compiled with the kernel flags gets as one 4-double vector;
+/// under OFF each live lane runs the libm predict, bit-identical to
+/// GradeEkf::predict. The trip kernel and the online estimator call it.
+///
+/// The lane arrays are restrict-qualified parameters on purpose: the same
+/// loop written over member arrays stays scalar (DESIGN.md §8).
+inline void predict_lanes(double* RGE_RESTRICT v, double* RGE_RESTRICT th,
+                          double* RGE_RESTRICT p00, double* RGE_RESTRICT p01,
+                          double* RGE_RESTRICT p11,
+                          const double* RGE_RESTRICT on, double f, double dt,
+                          const SimdPredictConsts& k) {
+#if RGE_SIMD_ENABLED
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    predict_simd({v[j], th[j], p00[j], p01[j], p11[j]}, f, dt, on[j] != 0.0,
+                 k);
+  }
+#else
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    if (on[j] == 0.0) continue;
+    predict(
+        {v[j], th[j], p00[j], p01[j], p11[j]}, f, dt, k.g, k.c,
+        k.drift != 0.0, k.accel_sigma, k.psd,
+        [](double x) { return std::sin(x); },
+        [](double x) { return std::cos(x); });
+  }
+#endif
 }
 
 /// One velocity update (H = [1, 0]), mirroring GradeEkf::update_velocity.

@@ -48,14 +48,15 @@ std::vector<GradeTrack> run_grade_ekf_trip(
   }
 
   // Source j in lane j, seeded like GradeEkf(params, cfg, v0, 0.0). Unused
-  // lanes hold zeros, which the predict steps harmlessly (cos 0 = 1) and
-  // nothing reads.
+  // lanes hold zeros, which the predict masks off and nothing reads.
   constexpr std::size_t kLanes = kTripKernelLanes;
-  double v[kLanes] = {};
-  double th[kLanes] = {};
-  double p00[kLanes] = {};
-  double p01[kLanes] = {};
-  double p11[kLanes] = {};
+  static_assert(kLanes == ekf_kernel::kLanes);
+  alignas(32) double v[kLanes] = {};
+  alignas(32) double th[kLanes] = {};
+  alignas(32) double p00[kLanes] = {};
+  alignas(32) double p01[kLanes] = {};
+  alignas(32) double p11[kLanes] = {};
+  alignas(32) double on[kLanes] = {};
   double odometry[kLanes] = {};
   std::size_t next[kLanes] = {};
   for (std::size_t j = 0; j < n_src; ++j) {
@@ -63,39 +64,26 @@ std::vector<GradeTrack> run_grade_ekf_trip(
     v[j] = meas.empty() ? 0.0 : meas.front().v;
     p00[j] = cfg.initial_speed_var;
     p11[j] = cfg.initial_grade_var;
+    on[j] = 1.0;
   }
   const auto lane = [&](std::size_t j) {
     return ekf_kernel::StateRef{v[j], th[j], p00[j], p01[j], p11[j]};
   };
 
-  const double g = params.gravity;
   // rho * A_f * C_d / m  (Eq. 4 coefficient; drag_k = rho*A_f*C_d/2)
   const double c = 2.0 * params.drag_k() / params.mass_kg;
-#if RGE_SIMD_ENABLED
-  const ekf_kernel::SimdPredictConsts k{g,
-                                        1.0 / g,
+  const ekf_kernel::SimdPredictConsts k{params.gravity,
+                                        1.0 / params.gravity,
                                         c,
                                         cfg.use_paper_drift_term ? 1.0 : 0.0,
                                         cfg.accel_sigma,
                                         cfg.grade_process_psd};
-#endif
 
   for (std::size_t i = 0; i < n; ++i) {
     const double dt = i > 0 ? t[i] - t[i - 1] : 0.0;
     if (dt > 0.0) {
-      const double f = accel_forward[i];
-#if RGE_SIMD_ENABLED
-      for (std::size_t j = 0; j < kLanes; ++j) {
-        ekf_kernel::predict_simd(lane(j), f, dt, true, k);
-      }
-#else
-      for (std::size_t j = 0; j < n_src; ++j) {
-        ekf_kernel::predict(
-            lane(j), f, dt, g, c, cfg.use_paper_drift_term, cfg.accel_sigma,
-            cfg.grade_process_psd, [](double x) { return std::sin(x); },
-            [](double x) { return std::cos(x); });
-      }
-#endif
+      ekf_kernel::predict_lanes(v, th, p00, p01, p11, on, accel_forward[i], dt,
+                                k);
       for (std::size_t j = 0; j < kLanes; ++j) odometry[j] += v[j] * dt;
     }
     for (std::size_t j = 0; j < n_src; ++j) {

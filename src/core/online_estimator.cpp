@@ -1,3 +1,7 @@
+// Under RGE_SIMD=ON this translation unit is compiled with the host-tuned
+// kernel flags plus -ffp-contract=off (see src/core/CMakeLists.txt), so
+// the four-lane predict inlines into push_imu as one vector while every
+// other expression keeps its exact libm-path bits (DESIGN.md §8).
 #include "core/online_estimator.hpp"
 
 #include <algorithm>
@@ -52,7 +56,7 @@ void OnlineGradientEstimator::DetectionRing::grow() {
   std::vector<double> t(new_cap), w_raw(new_cap), w_smooth(new_cap), v(new_cap);
   for (std::size_t abs = first_abs_; abs < first_abs_ + size_; ++abs) {
     const std::size_t from = slot(abs);
-    const std::size_t to = abs % new_cap;
+    const std::size_t to = abs & (new_cap - 1);
     t[to] = t_[from];
     w_raw[to] = w_raw_[from];
     w_smooth[to] = w_smooth_[from];
@@ -67,25 +71,21 @@ void OnlineGradientEstimator::DetectionRing::grow() {
 
 OnlineGradientEstimator::OnlineGradientEstimator(
     const vehicle::VehicleParams& params, const OnlineEstimatorConfig& config)
-    : OnlineGradientEstimator(params, config, nullptr, 0, 1) {}
-
-OnlineGradientEstimator::OnlineGradientEstimator(
-    const vehicle::VehicleParams& params, const OnlineEstimatorConfig& config,
-    GradeEkfBatch* store, std::size_t lane, std::size_t stride)
     : params_(params),
       cfg_(config),
       road_gain_{config.alignment.road_rate_tau_s},
       bias_gain_{config.alignment.bias_tau_s},
       smoothing_half_(smoothing_half_samples(config)),
       det_(ring_capacity(config, smoothing_half_samples(config))),
-      own_filters_(store != nullptr
-                       ? nullptr
-                       : std::make_unique<GradeEkfBatch>(
-                             kVelocitySourceCount, params, config.ekf)),
-      filters_(store != nullptr ? store : own_filters_.get()),
-      sources_{SourceFilter{"gps", 0.09, lane},
-               SourceFilter{"speedometer", 0.16, lane + stride},
-               SourceFilter{"canbus", 0.01, lane + 2 * stride}} {
+      // rho * A_f * C_d / m  (Eq. 4 coefficient; drag_k = rho*A_f*C_d/2)
+      predict_consts_{params.gravity,
+                      1.0 / params.gravity,
+                      2.0 * params.drag_k() / params.mass_kg,
+                      config.ekf.use_paper_drift_term ? 1.0 : 0.0,
+                      config.ekf.accel_sigma,
+                      config.ekf.grade_process_psd},
+      sources_{SourceFilter{"gps", 0.09}, SourceFilter{"speedometer", 0.16},
+               SourceFilter{"canbus", 0.01}} {
   // Reference-mode windows are bounded by the ring size; reserving here
   // keeps the per-tick re-scan allocation-free too (its inner calls into
   // detect_lane_changes still allocate — that's the mode's cost).
@@ -96,10 +96,8 @@ OnlineGradientEstimator::OnlineGradientEstimator(
 }
 
 OnlineGradientEstimator::SourceFilter::SourceFilter(const char* source_name,
-                                                    double variance,
-                                                    std::size_t slot)
-    : slot(slot),
-      variance(variance)
+                                                    double variance)
+    : variance(variance)
 #if RGE_OBS_ENABLED
       ,
       c_gate_rejected(std::string("online.gate_rejected.") + source_name),
@@ -109,6 +107,15 @@ OnlineGradientEstimator::SourceFilter::SourceFilter(const char* source_name,
 #endif
 {
   (void)source_name;
+}
+
+void OnlineGradientEstimator::seed(std::size_t s, double v0) {
+  v_[s] = v0;
+  th_[s] = 0.0;
+  p00_[s] = cfg_.ekf.initial_speed_var;
+  p01_[s] = 0.0;
+  p11_[s] = cfg_.ekf.initial_grade_var;
+  live_[s] = 1.0;
 }
 
 void OnlineGradientEstimator::publish_source_gauges(SourceFilter& src) {
@@ -149,10 +156,12 @@ bool OnlineGradientEstimator::bias_consensus(double sign) const {
   // the evidence there is).
   int n_seeded = 0;
   int n_agree = 0;
-  for (const SourceFilter& s : sources_) {
+  for (std::size_t s = 0; s < kVelocitySourceCount; ++s) {
     if (!source_usable(s)) continue;
     ++n_seeded;
-    if (sign * s.bias_ewma >= cfg_.defense.bias_engage_sigma) ++n_agree;
+    if (sign * sources_[s].bias_ewma >= cfg_.defense.bias_engage_sigma) {
+      ++n_agree;
+    }
   }
   return n_seeded <= 1 ? n_agree >= 1 : n_agree >= 2;
 }
@@ -182,13 +191,14 @@ void OnlineGradientEstimator::learn_accel_bias(const SourceFilter& src,
   accel_bias_ += a * (b_obs - accel_bias_);
 }
 
-bool OnlineGradientEstimator::admit_velocity(SourceFilter& src, double t,
+bool OnlineGradientEstimator::admit_velocity(std::size_t s, double t,
                                              double v) {
   const OnlineDefenseConfig& d = cfg_.defense;
-  if (!filters_->seeded(src.slot)) {
+  SourceFilter& src = sources_[s];
+  if (!seeded(s)) {
     // First measurement seeds the filter; there is no prediction to gate
     // against yet.
-    filters_->seed(src.slot, v);
+    seed(s, v);
     src.last_t = t;
     src.has_t = true;
     src.last_accept_t = t;
@@ -199,15 +209,16 @@ bool OnlineGradientEstimator::admit_velocity(SourceFilter& src, double t,
   if (!d.enabled) {  // trusting legacy path
     src.last_t = t;
     src.has_t = true;
-    filters_->update_velocity(src.slot, v, src.variance);
+    ekf_kernel::update_velocity(filter(s), v, src.variance,
+                                cfg_.ekf.gate_nis);
     src.last_accept_t = t;
     src.has_accept_t = true;
     ++src.accepted;
     return true;
   }
 
-  const double p00 = filters_->speed_variance(src.slot);
-  const double y = v - filters_->speed(src.slot);
+  const double p00 = p00_[s];
+  const double y = v - v_[s];
   const double s_base = p00 + src.variance;
   const double gate2 = d.gate_nsigma * d.gate_nsigma;
 
@@ -276,7 +287,7 @@ bool OnlineGradientEstimator::admit_velocity(SourceFilter& src, double t,
   learn_accel_bias(src, t, y);
   src.last_t = t;
   src.has_t = true;
-  filters_->update_velocity(src.slot, v, src.r_eff);
+  ekf_kernel::update_velocity(filter(s), v, src.r_eff, cfg_.ekf.gate_nis);
   src.last_accept_t = t;
   src.has_accept_t = true;
   ++src.accepted;
@@ -332,7 +343,8 @@ void OnlineGradientEstimator::push_canbus(double t, double speed_mps) {
 
 bool OnlineGradientEstimator::push_velocity(VelocitySource which, double t,
                                             double v) {
-  SourceFilter& src = sources_[static_cast<std::size_t>(which)];
+  const auto s = static_cast<std::size_t>(which);
+  const SourceFilter& src = sources_[s];
   if (src.has_t && t == src.last_t) {
     OBS_COUNT("online.rejected_duplicate_t", 1);
     return false;
@@ -341,7 +353,7 @@ bool OnlineGradientEstimator::push_velocity(VelocitySource which, double t,
     OBS_COUNT("online.rejected_nonmonotonic", 1);
     return false;
   }
-  return admit_velocity(src, t, v);
+  return admit_velocity(s, t, v);
 }
 
 void OnlineGradientEstimator::push_baro(double t, double altitude_m) {
@@ -407,14 +419,15 @@ double OnlineGradientEstimator::current_alpha(double t) const {
   return alpha_active_ && t <= alpha_until_ ? alpha_ : 0.0;
 }
 
-bool OnlineGradientEstimator::source_usable(const SourceFilter& src) const {
-  return filters_->seeded(src.slot) && !src.quarantined;
+bool OnlineGradientEstimator::source_usable(std::size_t s) const {
+  return seeded(s) && !sources_[s].quarantined;
 }
 
 bool OnlineGradientEstimator::any_usable_source() const {
-  return std::any_of(
-      sources_.begin(), sources_.end(),
-      [this](const SourceFilter& src) { return source_usable(src); });
+  for (std::size_t s = 0; s < kVelocitySourceCount; ++s) {
+    if (source_usable(s)) return true;
+  }
+  return false;
 }
 
 bool OnlineGradientEstimator::fused_state(double* v, double* th) const {
@@ -427,15 +440,15 @@ bool OnlineGradientEstimator::fused_state(double* v, double* th) const {
   const bool all_quarantined = !any_usable_source();
   double best_var = 0.0;
   bool any = false;
-  for (const SourceFilter& src : sources_) {
-    if (!filters_->seeded(src.slot)) continue;
-    if (src.quarantined && !all_quarantined) continue;
-    const double var = filters_->grade_variance(src.slot);
+  for (std::size_t s = 0; s < kVelocitySourceCount; ++s) {
+    if (!seeded(s)) continue;
+    if (sources_[s].quarantined && !all_quarantined) continue;
+    const double var = p11_[s];
     if (!any || var < best_var) {
       any = true;
       best_var = var;
-      *v = filters_->speed(src.slot);
-      *th = filters_->grade(src.slot);
+      *v = v_[s];
+      *th = th_[s];
     }
   }
   return any;
@@ -450,24 +463,13 @@ double OnlineGradientEstimator::applied_accel_bias() const {
 }
 
 void OnlineGradientEstimator::push_imu(const sensors::ImuSample& sample) {
-  const ImuStep step = push_imu_begin(sample);
-  if (!step.accepted) return;
-  for (const SourceFilter& src : sources_) {
-    filters_->predict_lane(src.slot, step.f, step.dt);
-  }
-  push_imu_finish(step);
-}
-
-OnlineGradientEstimator::ImuStep OnlineGradientEstimator::push_imu_begin(
-    const sensors::ImuSample& sample) {
-  ImuStep step;
   if (!finite_imu_sample(sample)) {
     OBS_COUNT("online.rejected_nonfinite", 1);
-    return step;
+    return;
   }
   if (have_imu_ && sample.t <= last_imu_t_) {
     OBS_COUNT("online.rejected_nonmonotonic", 1);
-    return step;
+    return;
   }
   const std::int64_t obs_t0 = obs::enabled() ? obs::trace_now_ns() : -1;
   const double dt = have_imu_ ? sample.t - last_imu_t_ : 0.0;
@@ -513,19 +515,10 @@ OnlineGradientEstimator::ImuStep OnlineGradientEstimator::push_imu_begin(
         params_.gravity * cfg_.assumed_road_crown * sa;
   }
 
-  step.accepted = true;
-  step.t = sample.t;
-  step.dt = dt;
-  step.f = f;
-  step.steer = steer;
-  step.obs_t0 = obs_t0;
-  return step;
-}
-
-void OnlineGradientEstimator::push_imu_finish(const ImuStep& step) {
-  const double dt = step.dt;
-  const double steer = step.steer;
   if (dt > 0.0) {
+    // One predict steps every seeded source filter.
+    ekf_kernel::predict_lanes(v_, th_, p00_, p01_, p11_, live_, f, dt,
+                              predict_consts_);
     // With no seeded filter the fused speed is 0: odometry stands still.
     double v_f = 0.0;
     double th_f = 0.0;
@@ -538,9 +531,9 @@ void OnlineGradientEstimator::push_imu_finish(const ImuStep& step) {
   }
 
   // ---- detection buffer at the detector rate -----------------------
-  if (step.t >= next_det_t_) {
-    next_det_t_ = step.t + 1.0 / cfg_.detector_rate_hz;
-    det_.push_back(step.t, steer, latest_speed_meas_);
+  if (sample.t >= next_det_t_) {
+    next_det_t_ = sample.t + 1.0 / cfg_.detector_rate_hz;
+    det_.push_back(sample.t, steer, latest_speed_meas_);
     // Evict by age, but never a sample the detection machine still
     // references: the active excursion, and a pending bump that can
     // still pair (its gap deadline has not passed, or an excursion that
@@ -555,28 +548,28 @@ void OnlineGradientEstimator::push_imu_finish(const ImuStep& step) {
       const double deadline =
           pair_pending_.t_end + cfg_.detector.max_bump_gap_s;
       const bool alive =
-          step.t <= deadline ||
+          sample.t <= deadline ||
           (exc_.active && det_.t(exc_.start_abs) <= deadline);
       if (alive) protect = std::min(protect, pair_pending_.start_abs);
     }
     while (!det_.empty() && det_.first() < protect &&
-           step.t - det_.t(det_.first()) > cfg_.detector_buffer_s) {
-      const std::size_t f = det_.first();
+           sample.t - det_.t(det_.first()) > cfg_.detector_buffer_s) {
+      const std::size_t first = det_.first();
       evicted_class_ =
-          f < next_finalize_abs_
-              ? sign_class(det_.w_smooth(f), cfg_.detector.bump.zero_band)
+          first < next_finalize_abs_
+              ? sign_class(det_.w_smooth(first), cfg_.detector.bump.zero_band)
               : 0;
       det_.pop_front();
     }
     // A pathologically short buffer could evict not-yet-finalized
     // samples; never let the finalize cursor point before the ring.
     next_finalize_abs_ = std::max(next_finalize_abs_, det_.first());
-    on_detector_tick(step.t);
+    on_detector_tick(sample.t);
   }
 
-  if (step.obs_t0 >= 0) {
+  if (obs_t0 >= 0) {
     OBS_OBSERVE("online.push_imu_us",
-                static_cast<double>(obs::trace_now_ns() - step.obs_t0) / 1000.0,
+                static_cast<double>(obs::trace_now_ns() - obs_t0) / 1000.0,
                 obs::latency_bounds_us());
   }
 }
@@ -834,13 +827,14 @@ OnlineEstimate OnlineGradientEstimator::estimate() const {
   std::array<double, kVelocitySourceCount> variances{};
   std::size_t n = 0;
   std::uint8_t bit = 1;
-  for (const SourceFilter& src : sources_) {
-    if (filters_->seeded(src.slot)) {
-      if (src.quarantined) out.sources_quarantined_mask |= bit;
-      if (!src.quarantined || all_quarantined) {
+  for (std::size_t s = 0; s < kVelocitySourceCount; ++s) {
+    const bool quarantined = sources_[s].quarantined;
+    if (seeded(s)) {
+      if (quarantined) out.sources_quarantined_mask |= bit;
+      if (!quarantined || all_quarantined) {
         out.sources_fused_mask |= bit;
-        grades[n] = filters_->grade(src.slot);
-        variances[n] = filters_->grade_variance(src.slot);
+        grades[n] = th_[s];
+        variances[n] = p11_[s];
         ++n;
       }
     }
@@ -861,9 +855,10 @@ OnlineEstimate OnlineGradientEstimator::estimate() const {
 
 SourceDiagnostics OnlineGradientEstimator::source_diagnostics(
     VelocitySource which) const {
-  const SourceFilter& src = sources_.at(static_cast<std::size_t>(which));
+  const auto s = static_cast<std::size_t>(which);
+  const SourceFilter& src = sources_.at(s);
   SourceDiagnostics d;
-  d.seeded = filters_->seeded(src.slot);
+  d.seeded = seeded(s);
   d.quarantined = src.quarantined;
   d.health = src.health;
   d.nis_ewma = src.nis_ewma;

@@ -13,8 +13,8 @@
 //     over the finalized profile (O(excursion) per detector tick instead
 //     of re-running the full 30 s buffer);
 //   * gradient EKFs + fusion: strictly causal, one per velocity source,
-//     each a lane of a GradeEkfBatch (a three-lane store of the
-//     estimator's own, or an OnlineEstimatorBatch's shared store).
+//     source s in lane s of the estimator's own four-lane filter arrays;
+//     one ekf_kernel::predict_lanes per IMU sample steps all three.
 //
 // Estimates published while a lane change is still being detected cannot
 // be retro-adjusted (Eq. 2 needs the whole maneuver), so the online
@@ -28,13 +28,14 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/alignment.hpp"
-#include "core/grade_ekf_batch.hpp"
+#include "core/grade_ekf.hpp"
+#include "core/grade_ekf_kernel.hpp"
 #include "core/lane_change_detector.hpp"
 #include "core/track_fusion.hpp"
 #include "math/ema_gain.hpp"
@@ -43,8 +44,6 @@
 #include "vehicle/params.hpp"
 
 namespace rge::core {
-
-class OnlineEstimatorBatch;
 
 /// Self-defense layer for the per-source velocity filters: innovation
 /// gating with an adaptive measurement-noise floor (R_eff inflated from
@@ -247,9 +246,13 @@ class OnlineGradientEstimator {
   // non-default config overflows the pre-sized capacity.
   class DetectionRing {
    public:
+    /// The capacity is rounded up to a power of two, so a slot is a mask.
     explicit DetectionRing(std::size_t capacity)
-        : t_(capacity), w_raw_(capacity), w_smooth_(capacity), v_(capacity),
-          cap_(capacity) {}
+        : t_(std::bit_ceil(capacity)),
+          w_raw_(t_.size()),
+          w_smooth_(t_.size()),
+          v_(t_.size()),
+          cap_(t_.size()) {}
 
     std::size_t first() const { return first_abs_; }
     std::size_t end() const { return first_abs_ + size_; }
@@ -277,7 +280,7 @@ class OnlineGradientEstimator {
     void set_w_smooth(std::size_t abs, double w) { w_smooth_[slot(abs)] = w; }
 
    private:
-    std::size_t slot(std::size_t abs) const { return abs % cap_; }
+    std::size_t slot(std::size_t abs) const { return abs & (cap_ - 1); }
     void grow();
 
     std::vector<double> t_, w_raw_, w_smooth_, v_;
@@ -310,13 +313,12 @@ class OnlineGradientEstimator {
     double peak_mag = 0.0;
   };
 
-  /// One velocity source: its filter's lane in the store (*filters_) and
-  /// its stream clock and defense state.
+  /// One velocity source's stream clock and defense state (its filter is
+  /// the lane of the filter arrays with the same index).
   struct SourceFilter {
-    SourceFilter(const char* source_name, double variance, std::size_t slot);
+    SourceFilter(const char* source_name, double variance);
 
-    std::size_t slot;  ///< lane of this source's EKF in *filters_
-    double variance;   ///< base measurement noise R ((m/s)^2)
+    double variance;  ///< base measurement noise R ((m/s)^2)
     double last_t = 0.0;  ///< newest *consumed* measurement timestamp
     bool has_t = false;
 
@@ -344,32 +346,15 @@ class OnlineGradientEstimator {
 #endif
   };
 
-  // The SoA fleet driver builds its lanes on its shared store and streams
-  // them in lockstep: per sample it runs push_imu_begin on every lane, one
-  // lane-parallel EKF predict over every lane's source filters, then
-  // push_imu_finish on every lane — the exact stage order of push_imu.
-  friend class OnlineEstimatorBatch;
-
-  /// Source s (gps, speedometer, canbus) filters in lane `lane + s *
-  /// stride` of `store`; a null store means a three-lane store of its own.
-  OnlineGradientEstimator(const vehicle::VehicleParams& params,
-                          const OnlineEstimatorConfig& config,
-                          GradeEkfBatch* store, std::size_t lane,
-                          std::size_t stride);
-
-  /// One admitted IMU sample, staged between push_imu's causal front half
-  /// (admission, alignment, lane-change projection) and its post-predict
-  /// back half (odometry, baro integrals, detection buffer).
-  struct ImuStep {
-    bool accepted = false;  ///< passed the finite/monotonic admission
-    double t = 0.0;
-    double dt = 0.0;
-    double f = 0.0;      ///< bias-compensated, maneuver-projected force
-    double steer = 0.0;  ///< aligned steering rate (detector input)
-    std::int64_t obs_t0 = -1;
-  };
-  ImuStep push_imu_begin(const sensors::ImuSample& sample);
-  void push_imu_finish(const ImuStep& step);
+  // Source s's filter is lane s, indexed with s itself. Keep the source
+  // loops small enough to inline into push_imu: on an AVX-512 host an
+  // out-of-line fused_state ran push_imu about 5x slower (DESIGN.md §8).
+  ekf_kernel::StateRef filter(std::size_t s) {
+    return {v_[s], th_[s], p00_[s], p01_[s], p11_[s]};
+  }
+  bool seeded(std::size_t s) const { return live_[s] != 0.0; }
+  /// Like constructing GradeEkf(params, cfg.ekf, v0, 0.0) in lane s.
+  void seed(std::size_t s, double v0);
 
   void on_detector_tick(double now);
   void finalize_sample(std::size_t j);
@@ -389,17 +374,17 @@ class OnlineGradientEstimator {
   /// The source's stream-clock gate (see push_imu's admission policy),
   /// then admit_velocity. Returns true if the EKF took the measurement.
   bool push_velocity(VelocitySource which, double t, double v);
-  /// Defense pipeline for one velocity measurement whose timestamp was
+  /// Defense pipeline for one measurement of source s whose timestamp was
   /// admitted: gate / health / quarantine-probe / bias learning / EKF
   /// update. Returns true if the measurement was applied to the EKF.
-  bool admit_velocity(SourceFilter& src, double t, double v);
+  bool admit_velocity(std::size_t s, double t, double v);
   void enter_quarantine(SourceFilter& src, double t);
   void readmit(SourceFilter& src);
   void learn_accel_bias(const SourceFilter& src, double t, double y);
   bool bias_consensus(double sign) const;
   double applied_accel_bias() const;
   bool fused_state(double* v, double* th) const;
-  bool source_usable(const SourceFilter& src) const;
+  bool source_usable(std::size_t s) const;
   bool any_usable_source() const;
   void publish_source_gauges(SourceFilter& src);
 
@@ -451,11 +436,17 @@ class OnlineGradientEstimator {
   bool alpha_active_ = false;
   double alpha_until_ = -1e9;
 
-  // EKFs per source: the store owned by a standalone estimator (null in
-  // a fleet lane), the store the filters live in, and the sources indexed
-  // by VelocitySource.
-  std::unique_ptr<GradeEkfBatch> own_filters_;
-  GradeEkfBatch* filters_;
+  // EKFs per source: source s (a VelocitySource) in lane s of these
+  // arrays, its stream clock and defense state in sources_[s]. Lane 3 and
+  // unseeded lanes hold zeros; live_ masks them out of the predict.
+  static_assert(kVelocitySourceCount <= ekf_kernel::kLanes);
+  alignas(32) double v_[ekf_kernel::kLanes] = {};
+  alignas(32) double th_[ekf_kernel::kLanes] = {};
+  alignas(32) double p00_[ekf_kernel::kLanes] = {};
+  alignas(32) double p01_[ekf_kernel::kLanes] = {};
+  alignas(32) double p11_[ekf_kernel::kLanes] = {};
+  alignas(32) double live_[ekf_kernel::kLanes] = {};  ///< 1.0 = seeded
+  ekf_kernel::SimdPredictConsts predict_consts_;
   std::array<SourceFilter, kVelocitySourceCount> sources_;
   double odometry_ = 0.0;
   /// Accel-bias estimate (m/s^2), written by the velocity-consensus

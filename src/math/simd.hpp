@@ -1,8 +1,8 @@
 // Build-level SIMD gate and lane-math helpers for the SoA batch kernels.
 //
 // The batch layer (GradeEkfBatch, the trip kernel run_grade_ekf_trip,
-// resample_sorted, OnlineEstimatorBatch) compiles in one of two modes,
-// selected by the CMake option RGE_SIMD (default ON):
+// the online estimator's four-lane predict, resample_sorted) compiles in
+// one of two modes, selected by the CMake option RGE_SIMD (default ON):
 //
 //   RGE_SIMD=ON   Kernel translation units are built with host-tuned
 //                 vector flags (-O3 -march=native when available) and the
@@ -12,7 +12,8 @@
 //                 by a pinned tolerance (see DESIGN.md §8): the polynomials
 //                 are exact to < 1 ulp over the clamped grade range and
 //                 the compiler may contract multiply-adds into FMAs (the
-//                 trip kernel's translation unit forbids contraction).
+//                 trip kernel's and the online estimator's translation
+//                 units forbid contraction).
 //
 //   RGE_SIMD=OFF  Kernels fall back to the scalar code paths (same
 //                 expressions, std::sin/std::cos, default flags), making

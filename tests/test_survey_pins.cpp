@@ -11,12 +11,13 @@
 // single output bit fails here. Change a pin only for a deliberate
 // numerical change, and record why in the change log.
 //
-// The pipeline pins have two sets. The causal EKFs run on the trip kernel
-// (run_grade_ekf_trip), whose predict under RGE_SIMD=ON uses polynomial
-// sin/cos and hoisted reciprocals (DESIGN.md §8): one value holds under
-// RGE_SIMD=OFF, where every output equals the libm scalar path, and one
-// under ON, in the default and the sanitizer builds alike (the kernel TU
-// compiles with -ffp-contract=off).
+// The pipeline and online pins have two sets. The causal EKFs run on the
+// trip kernel (run_grade_ekf_trip) and the online estimator's four-lane
+// predict, whose predict under RGE_SIMD=ON uses polynomial sin/cos and
+// hoisted reciprocals (DESIGN.md §8): one value holds under RGE_SIMD=OFF,
+// where every output equals the libm scalar path, and one under ON, in
+// the default and the sanitizer builds alike (both TUs compile with
+// -ffp-contract=off).
 #include <cstdint>
 #include <map>
 #include <string>
@@ -211,13 +212,14 @@ TEST(OnlinePins, ScenarioStreamsCleanAndFaulted) {
   // Per scenario, trip 0 clean and under the three faults the velocity
   // gate sees, through the default (defended, incremental) estimator and
   // through the reference configuration (defense off, full re-scan
-  // detection). Standalone estimators predict with libm, so one value
-  // per pin holds with RGE_SIMD on and off.
+  // detection). Two sets: RGE_SIMD=OFF predicts with libm (the values of
+  // every earlier build), and the ON set (the polynomial four-lane
+  // predict) holds in the default and asan presets.
   struct Pin {
     std::uint64_t defended;
     std::uint64_t reference;
   };
-  const std::map<std::string, Pin> pins = {
+  const std::map<std::string, Pin> off_pins = {
       {"flat_baseline", {0x36cf7edb09075442ull, 0xbd51338198c9d870ull}},
       {"table3_nominal", {0xe6f140b270fa3e53ull, 0xaca04be3f5055efdull}},
       {"hilly_steep", {0x4c8a66626656660eull, 0x21f3063f3d5e75a6ull}},
@@ -235,6 +237,25 @@ TEST(OnlinePins, ScenarioStreamsCleanAndFaulted) {
       {"hostile_tunnel_canyon",
        {0xfb3631fc30714314ull, 0x377067b0924c3015ull}},
   };
+  const std::map<std::string, Pin> on_pins = {
+      {"flat_baseline", {0x87f74ba441498298ull, 0x4ae0b0060c371641ull}},
+      {"table3_nominal", {0xbcab6831d2b51bb7ull, 0x78e43acb92c40506ull}},
+      {"hilly_steep", {0x0c5e31ec1c8e50b4ull, 0xcb1b6b1b50be234eull}},
+      {"rolling_hills_calm", {0x42c648f72c89c486ull, 0xac9dcff0ef8b975dull}},
+      {"lane_change_storm", {0x24d37aa5c224f4cfull, 0x267a84c99b65c3a1ull}},
+      {"stop_and_go", {0x3973cc3ba92306f0ull, 0xe6655efe41c8f8eaull}},
+      {"noisy_phone", {0xc5ae34fa30530a7bull, 0xc299e37082f3af85ull}},
+      {"gps_degraded", {0x26b6dea323152990ull, 0x86b458473d59e1afull}},
+      {"highway_cruise", {0xb6440a683e4875dfull, 0x748c0f58cead3593ull}},
+      {"rts_offline", {0x4dce388f807ecab2ull, 0x31b59643763205e5ull}},
+      {"cloud_fusion_x3", {0x603898651a083dfcull, 0xa362afa39d4f5383ull}},
+      {"hostile_canyon_switchbacks",
+       {0xbd0a37c6d948f1dcull, 0x9a18edefdcb5244full}},
+      {"hostile_steep_canyon", {0x3362e52b23ab681eull, 0x6831cf16d6973becull}},
+      {"hostile_tunnel_canyon",
+       {0x4f9e5e64f9a25973ull, 0xdaf39e7ae1138db8ull}},
+  };
+  const auto& pins = math::simd_enabled() ? on_pins : off_pins;
   core::OnlineEstimatorConfig reference;
   reference.defense.enabled = false;
   reference.incremental_detection = false;
