@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -240,6 +240,83 @@ std::uint64_t samples_in_range(const core::GradeTrack& track, double lo_m,
   return lo < hi ? static_cast<std::uint64_t>(hi - lo) : 0u;
 }
 
+using CoverageSnapshot = core::FusionAccumulator::CoverageSnapshot;
+
+/// Appends samples [b, e) of `piece` to `view`.
+void append_samples(const CoverageSnapshot& piece, std::size_t b,
+                    std::size_t e, RoadView& view) {
+  const auto tail = [b, e](auto& to, const auto& from) {
+    const auto first = from.begin() + static_cast<std::ptrdiff_t>(b);
+    to.insert(to.end(), first, first + static_cast<std::ptrdiff_t>(e - b));
+  };
+  tail(view.cells, piece.cells);
+  tail(view.coverage, piece.coverage);
+  tail(view.track.t, piece.track.t);
+  tail(view.track.s, piece.track.s);
+  tail(view.track.grade, piece.track.grade);
+  tail(view.track.grade_var, piece.track.grade_var);
+  tail(view.track.speed, piece.track.speed);
+}
+
+/// One road's served view from its shards' covered pieces. Each piece is
+/// ascending in cell index and tiles partition the grid, so the pieces'
+/// cells are disjoint and the merged order is unique. A lone piece is
+/// taken by move; k > 1 pieces are merged run by run: the piece holding
+/// the lowest unmerged cell contributes every cell below the other
+/// pieces' lowest unmerged cell. Pieces are consumed.
+void merge_pieces(const std::vector<CoverageSnapshot*>& pieces,
+                  RoadView& view) {
+  if (pieces.empty()) return;
+  if (pieces.size() == 1) {
+    CoverageSnapshot& p = *pieces.front();
+    view.cells = std::move(p.cells);
+    view.coverage = std::move(p.coverage);
+    view.track = std::move(p.track);
+    view.track.source = "map-service";
+    return;
+  }
+  std::size_t total = 0;
+  for (const CoverageSnapshot* p : pieces) total += p->size();
+  view.cells.reserve(total);
+  view.coverage.reserve(total);
+  view.track.source = "map-service";
+  view.track.t.reserve(total);
+  view.track.s.reserve(total);
+  view.track.grade.reserve(total);
+  view.track.grade_var.reserve(total);
+  view.track.speed.reserve(total);
+
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  const std::size_t k = pieces.size();
+  std::vector<std::size_t> cursor(k, 0);  // first unmerged sample per piece
+  for (;;) {
+    std::size_t lo = k;             // piece with the lowest unmerged cell
+    std::size_t lo_cell = kNone;
+    std::size_t stop = kNone;       // lowest unmerged cell of the others
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto& cells = pieces[i]->cells;
+      if (cursor[i] == cells.size()) continue;
+      const std::size_t c = cells[cursor[i]];
+      if (c < lo_cell) {
+        stop = lo_cell;
+        lo = i;
+        lo_cell = c;
+      } else if (c < stop) {
+        stop = c;
+      }
+    }
+    if (lo == k) break;
+    const CoverageSnapshot& p = *pieces[lo];
+    const std::size_t b = cursor[lo];
+    const std::size_t e = static_cast<std::size_t>(
+        std::lower_bound(p.cells.begin() + static_cast<std::ptrdiff_t>(b),
+                         p.cells.end(), stop) -
+        p.cells.begin());
+    append_samples(p, b, e, view);
+    cursor[lo] = e;
+  }
+}
+
 }  // namespace
 
 void MapService::ingest(const std::vector<TrackUpload>& uploads,
@@ -313,7 +390,7 @@ std::uint64_t MapService::publish(runtime::ThreadPool* pool) {
   // equal global ones.
   struct Piece {
     RoadId road;
-    core::FusionAccumulator::CoverageSnapshot snap;
+    CoverageSnapshot snap;
   };
   std::vector<std::vector<Piece>> pieces(shards_.size());
   const auto finalize = [&](std::size_t s) {
@@ -332,52 +409,25 @@ std::uint64_t MapService::publish(runtime::ThreadPool* pool) {
     for (std::size_t s = 0; s < shards_.size(); ++s) finalize(s);
   }
 
-  // Phase 2 — merge the disjoint per-shard cell sets into per-road views,
-  // ordered by cell index. No shard lock is held here; ingest proceeds.
+  // Phase 2 — per road, merge its disjoint per-shard pieces into the
+  // served view, ordered by cell index. No shard lock is held here; ingest
+  // proceeds. Each task writes only its own road's view and reads or moves
+  // only that road's pieces, so roads merge concurrently on the pool.
   auto next = std::make_shared<ServiceSnapshot>();
   next->roads.resize(network_.size());
-  std::vector<std::vector<const Piece*>> by_road(network_.size());
-  for (const auto& shard_pieces : pieces) {
-    for (const auto& p : shard_pieces) by_road[p.road].push_back(&p);
+  std::vector<std::vector<CoverageSnapshot*>> by_road(network_.size());
+  for (auto& shard_pieces : pieces) {
+    for (auto& p : shard_pieces) by_road[p.road].push_back(&p.snap);
   }
-  for (std::size_t r = 0; r < network_.size(); ++r) {
+  const auto merge_road = [&](std::size_t r) {
     RoadView& view = next->roads[r];
     view.road = static_cast<RoadId>(r);
-    std::size_t total = 0;
-    for (const Piece* p : by_road[r]) total += p->snap.cells.size();
-    if (total == 0) continue;
-    // (cell, piece, sample index) triples sorted by cell: shards own
-    // interleaved tiles, so a k-way ordered merge is needed; a sort over
-    // the concatenation keeps it simple (k <= n_shards).
-    std::vector<std::tuple<std::size_t, const Piece*, std::size_t>> order;
-    order.reserve(total);
-    for (const Piece* p : by_road[r]) {
-      for (std::size_t i = 0; i < p->snap.cells.size(); ++i) {
-        order.emplace_back(p->snap.cells[i], p, i);
-      }
-    }
-    std::sort(order.begin(), order.end(),
-              [](const auto& a, const auto& b) {
-                return std::get<0>(a) < std::get<0>(b);
-              });
-    view.cells.reserve(total);
-    view.coverage.reserve(total);
-    view.track.source = "map-service";
-    view.track.t.reserve(total);
-    view.track.s.reserve(total);
-    view.track.grade.reserve(total);
-    view.track.grade_var.reserve(total);
-    view.track.speed.reserve(total);
-    for (const auto& [cell, piece, i] : order) {
-      const auto& tr = piece->snap.track;
-      view.cells.push_back(cell);
-      view.coverage.push_back(piece->snap.coverage[i]);
-      view.track.t.push_back(tr.t[i]);
-      view.track.s.push_back(tr.s[i]);
-      view.track.grade.push_back(tr.grade[i]);
-      view.track.grade_var.push_back(tr.grade_var[i]);
-      view.track.speed.push_back(tr.speed[i]);
-    }
+    merge_pieces(by_road[r], view);
+  };
+  if (pool != nullptr) {
+    runtime::parallel_for(*pool, network_.size(), merge_road);
+  } else {
+    for (std::size_t r = 0; r < network_.size(); ++r) merge_road(r);
   }
 
   std::uint64_t epoch = 0;

@@ -149,7 +149,8 @@ class MapService {
   void ingest_one(const TrackUpload& upload);
 
   /// Rebuild the published snapshot from the shards' current sums and
-  /// swap it in (epoch + 1). Ingest proceeds concurrently except for the
+  /// swap it in (epoch + 1). Shards finalize, then roads merge, on the
+  /// pool when given. Ingest proceeds concurrently except for the
   /// brief per-shard finalize, and readers are never blocked: they keep
   /// the previous buffer until the O(1) pointer swap. Returns the new
   /// epoch.

@@ -223,6 +223,32 @@ TEST(MapService, BoundarySplitMatchesUnshardedAccumulator) {
   const auto view = svc.merged_road_view(0);
   EXPECT_EQ(view.cells, want.cells);
   EXPECT_EQ(view.track.grade, want.track.grade);
+
+  // publish() against the same oracle, which never calls publish(): eight
+  // shards merge the road from many pieces, one shard serves it as a
+  // single piece; each with and without a pool.
+  MapServiceConfig one_cfg = cfg;
+  one_cfg.n_shards = 1;
+  MapService one(net, one_cfg);
+  one.ingest({up});
+  runtime::ThreadPool pool(4);
+  for (MapService* service : {&svc, &one}) {
+    for (runtime::ThreadPool* p : {static_cast<runtime::ThreadPool*>(nullptr),
+                                   &pool}) {
+      service->publish(p);
+      const RoadView& served = service->snapshot()->roads[0];
+      const std::string what = std::to_string(service->n_shards()) +
+                               " shards, pool " + (p ? "on" : "off");
+      EXPECT_EQ(served.road, 0u) << what;
+      EXPECT_EQ(served.cells, want.cells) << what;
+      EXPECT_EQ(served.coverage, want.coverage) << what;
+      EXPECT_EQ(served.track.t, want.track.t) << what;
+      EXPECT_EQ(served.track.s, want.track.s) << what;
+      EXPECT_EQ(served.track.grade, want.track.grade) << what;
+      EXPECT_EQ(served.track.grade_var, want.track.grade_var) << what;
+      EXPECT_EQ(served.track.speed, want.track.speed) << what;
+    }
+  }
 }
 
 TEST(MapService, IngestOneMatchesBatchIngestWhenSerial) {
