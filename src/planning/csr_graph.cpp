@@ -4,6 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+
+#include "obs/obs.hpp"
 
 namespace rge::planning {
 
@@ -65,6 +68,7 @@ CsrGraph::CsrGraph(const RouteGraph& g, const CostModel& model,
     throw std::invalid_argument("CsrGraph: graph too large for u32 ids");
   }
 
+  OBS_SPAN("planning.freeze");
   const auto t0 = std::chrono::steady_clock::now();
 
   // ---- node order: BFS from node 0, unreached nodes appended by id ----
@@ -200,32 +204,26 @@ void CsrGraph::build_csr(const RouteGraph& g, const CostModel& model) {
   }
 }
 
-void CsrGraph::dijkstra_all(std::uint32_t src, Metric m, bool reverse,
+template <bool kReverse>
+void CsrGraph::dijkstra_all(std::uint32_t src, const double* cost,
+                            std::vector<SettleEntry>& heap,
                             std::vector<double>& out) const {
-  const std::size_t n = node_count();
-  const double* cost = cost_[static_cast<int>(m)].data();
-  out.assign(n, kInf);
+  const std::uint32_t* offsets =
+      kReverse ? rev_offsets_.data() : offsets_.data();
+  const std::uint32_t* heads = kReverse ? rev_head_.data() : head_.data();
+  out.assign(node_count(), kInf);
   out[src] = 0.0;
-
-  struct Entry {
-    double key;
-    std::uint32_t node;
-  };
-  std::vector<Entry> heap;
+  heap.clear();
   heap.push_back({0.0, src});
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), KeyGreater{});
-    const Entry e = heap.back();
+    const SettleEntry e = heap.back();
     heap.pop_back();
     if (e.key > out[e.node]) continue;
-    const std::uint32_t lo =
-        reverse ? rev_offsets_[e.node] : offsets_[e.node];
-    const std::uint32_t hi =
-        reverse ? rev_offsets_[e.node + 1] : offsets_[e.node + 1];
-    for (std::uint32_t p = lo; p < hi; ++p) {
-      const std::uint32_t v = reverse ? rev_head_[p] : head_[p];
-      const double c = reverse ? cost[rev_pos_[p]] : cost[p];
-      const double nd = e.key + c;
+    const std::uint32_t hi = offsets[e.node + 1];
+    for (std::uint32_t p = offsets[e.node]; p < hi; ++p) {
+      const std::uint32_t v = heads[p];
+      const double nd = e.key + cost[kReverse ? rev_pos_[p] : p];
       if (nd < out[v]) {
         out[v] = nd;
         heap.push_back({nd, v});
@@ -235,15 +233,44 @@ void CsrGraph::dijkstra_all(std::uint32_t src, Metric m, bool reverse,
   }
 }
 
+bool CsrGraph::symmetric(Metric m) const {
+  const double* cost = cost_[static_cast<int>(m)].data();
+  std::vector<std::pair<std::uint32_t, double>> out_arcs;
+  std::vector<std::pair<std::uint32_t, double>> in_arcs;
+  for (std::uint32_t u = 0; u < node_count(); ++u) {
+    const std::uint32_t lo = offsets_[u];
+    const std::uint32_t hi = offsets_[u + 1];
+    const std::uint32_t rlo = rev_offsets_[u];
+    const std::uint32_t rhi = rev_offsets_[u + 1];
+    if (hi - lo != rhi - rlo) return false;
+    out_arcs.clear();
+    in_arcs.clear();
+    for (std::uint32_t p = lo; p < hi; ++p) {
+      out_arcs.emplace_back(head_[p], cost[p]);
+    }
+    for (std::uint32_t q = rlo; q < rhi; ++q) {
+      in_arcs.emplace_back(rev_head_[q], cost[rev_pos_[q]]);
+    }
+    std::sort(out_arcs.begin(), out_arcs.end());
+    std::sort(in_arcs.begin(), in_arcs.end());
+    if (out_arcs != in_arcs) return false;
+  }
+  return true;
+}
+
 void CsrGraph::build_landmarks(const AltConfig& alt) {
+  OBS_SPAN("planning.landmarks");
   const std::size_t n = node_count();
   const std::size_t k = std::min(alt.landmarks, n);
   if (k == 0) return;
 
+  std::vector<SettleEntry> heap;
   std::vector<double> dist;
   std::vector<double> min_dist;
+  std::int64_t dijkstras = 0;
   for (int mi = 0; mi < kMetricCount; ++mi) {
     const auto metric = static_cast<Metric>(mi);
+    const double* cost = cost_[mi].data();
     auto& lms = landmarks_[mi];
     lms.clear();
 
@@ -255,7 +282,8 @@ void CsrGraph::build_landmarks(const AltConfig& alt) {
     from.reserve(k * n);
     min_dist.assign(n, kInf);
     std::uint32_t next = 0;
-    dijkstra_all(0, metric, /*reverse=*/false, dist);
+    dijkstra_all<false>(0, cost, heap, dist);
+    ++dijkstras;
     double best = -1.0;
     for (std::uint32_t v = 0; v < n; ++v) {
       if (std::isfinite(dist[v]) && dist[v] > best) {
@@ -265,7 +293,8 @@ void CsrGraph::build_landmarks(const AltConfig& alt) {
     }
     while (lms.size() < k) {
       lms.push_back(next);
-      dijkstra_all(next, metric, /*reverse=*/false, dist);
+      dijkstra_all<false>(next, cost, heap, dist);
+      ++dijkstras;
       from.insert(from.end(), dist.begin(), dist.end());
       double far = -1.0;
       std::uint32_t far_node = kNoEdge;
@@ -280,14 +309,23 @@ void CsrGraph::build_landmarks(const AltConfig& alt) {
       next = far_node;
     }
 
-    // Backward distance tables for the selected landmarks.
+    // Backward distance tables d(·, L). When the metric is symmetric the
+    // reverse graph is the forward graph, so each backward Dijkstra would
+    // reproduce its landmark's forward row bit for bit (DESIGN.md §9):
+    // copy the rows instead.
+    if (symmetric(metric)) {
+      land_to_[mi] = from;
+      continue;
+    }
     land_to_[mi].assign(lms.size() * n, kInf);
     for (std::size_t li = 0; li < lms.size(); ++li) {
-      dijkstra_all(lms[li], metric, /*reverse=*/true, dist);
+      dijkstra_all<true>(lms[li], cost, heap, dist);
+      ++dijkstras;
       std::copy(dist.begin(), dist.end(),
                 land_to_[mi].begin() + static_cast<std::ptrdiff_t>(li * n));
     }
   }
+  OBS_COUNT("planning.landmark_dijkstras", dijkstras);
 }
 
 double CsrGraph::potential_internal(Metric m, std::uint32_t v,
