@@ -383,7 +383,11 @@ class OnlineGradientEstimator {
   void learn_accel_bias(const SourceFilter& src, double t, double y);
   bool bias_consensus(double sign) const;
   double applied_accel_bias() const;
-  bool fused_state(double* v, double* th) const;
+  // Always inlined into its callers (push_imu among them): an out-of-line
+  // copy ran push_imu about 5x slower on an AVX-512 host (DESIGN.md §8),
+  // so a change that keeps it out of line fails to compile instead.
+  [[gnu::always_inline]] inline bool fused_state(double* v,
+                                                 double* th) const;
   bool source_usable(std::size_t s) const;
   bool any_usable_source() const;
   void publish_source_gauges(SourceFilter& src);
