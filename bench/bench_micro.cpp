@@ -1,19 +1,18 @@
 // Google-benchmark microbenchmarks: throughput of the estimation stack's
 // hot paths (EKF steps, LOESS smoothing, bump extraction / detection,
-// track fusion, trace CSV parsing), plus the fleet-scale SoA batch kernels
-// against their scalar per-vehicle references, the trip kernel against
-// one-source runs, and the online estimator streaming one city trip.
-// These bound how far the
-// pipeline is from real-time on phone-class sample rates (50 Hz IMU).
+// track fusion, trace CSV parsing), plus the batch kernels against their
+// scalar references: the trip kernel against one-source runs, batched
+// resampling against per-query interpolation, and the online estimator
+// streaming one city trip. These bound how far the pipeline is from
+// real-time on phone-class sample rates (50 Hz IMU).
 //
-// Besides the console report, the run writes BENCH_micro.json (override
-// the path with RGE_BENCH_MICRO_OUT): per-benchmark ns/op and the
-// scalar-vs-batch speedups, the checked-in perf-trajectory artifact for
-// the batch kernels.
+// Besides the console report, the run writes BENCH_micro.json into the
+// working directory: per-benchmark ns/op and the scalar-vs-batch
+// speedups, the checked-in perf-trajectory artifact for the batch
+// kernels.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
@@ -21,7 +20,6 @@
 #include "core/alignment.hpp"
 #include "core/bump.hpp"
 #include "core/grade_ekf.hpp"
-#include "core/grade_ekf_batch.hpp"
 #include "core/lane_change_detector.hpp"
 #include "core/online_estimator_batch.hpp"
 #include "core/pipeline.hpp"
@@ -147,50 +145,6 @@ void BM_TraceCsvRoundTrip(benchmark::State& state) {
                           static_cast<int64_t>(trace.imu.size()));
 }
 BENCHMARK(BM_TraceCsvRoundTrip);
-
-// ---- fleet-scale SoA batch kernels vs scalar references ----------------
-
-constexpr std::size_t kFleetLanes = 1000;
-
-void BM_GradeEkfFleetScalar(benchmark::State& state) {
-  const vehicle::VehicleParams params{};
-  const core::GradeEkfConfig cfg{};
-  math::Rng rng(6);
-  std::vector<core::GradeEkf> fleet;
-  std::vector<double> f(kFleetLanes);
-  fleet.reserve(kFleetLanes);
-  for (std::size_t l = 0; l < kFleetLanes; ++l) {
-    fleet.emplace_back(params, cfg, rng.uniform(3.0, 30.0),
-                       rng.uniform(-0.08, 0.08));
-    f[l] = rng.uniform(-3.0, 3.0);
-  }
-  for (auto _ : state) {
-    for (std::size_t l = 0; l < kFleetLanes; ++l) fleet[l].predict(f[l], 0.02);
-    benchmark::DoNotOptimize(fleet.front().grade());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kFleetLanes));
-}
-BENCHMARK(BM_GradeEkfFleetScalar);
-
-void BM_GradeEkfFleetBatch(benchmark::State& state) {
-  const vehicle::VehicleParams params{};
-  math::Rng rng(6);
-  core::GradeEkfBatch batch(kFleetLanes, params, core::GradeEkfConfig{});
-  std::vector<double> f(kFleetLanes);
-  std::vector<double> dt(kFleetLanes, 0.02);
-  for (std::size_t l = 0; l < kFleetLanes; ++l) {
-    batch.seed(l, rng.uniform(3.0, 30.0), rng.uniform(-0.08, 0.08));
-    f[l] = rng.uniform(-3.0, 3.0);
-  }
-  for (auto _ : state) {
-    batch.predict(f, dt);
-    benchmark::DoNotOptimize(batch.grade(0));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kFleetLanes));
-}
-BENCHMARK(BM_GradeEkfFleetBatch);
 
 // ---- trip kernel vs one-source runs on one city trip ------------------
 
@@ -369,7 +323,6 @@ void write_bench_json(const std::map<std::string, double>& ns_per_op) {
   doc["ns_per_op"] = benches;
   doc["simd"] = math::simd_enabled();
   doc["workload"] = rge::testing::Json::Object{
-      {"fleet_lanes", kFleetLanes},
       {"interp_keys", kInterpKeys},
       {"interp_queries", kInterpQueries},
       {"trip_imu_steps", trip_ekf_inputs().t.size()},
@@ -383,8 +336,6 @@ void write_bench_json(const std::map<std::string, double>& ns_per_op) {
       doc["speedup"][key] = s->second / b->second;
     }
   };
-  speedup("BM_GradeEkfFleetScalar", "BM_GradeEkfFleetBatch",
-          "ekf_fleet_predict");
   speedup("BM_ResampleScalar", "BM_ResampleBatch", "interp_resample");
   speedup("BM_GradeEkfTripPerSource", "BM_GradeEkfTripKernel",
           "ekf_trip_kernel");
@@ -393,9 +344,7 @@ void write_bench_json(const std::map<std::string, double>& ns_per_op) {
     doc["ns_per_imu_step"]["online_estimator_trip"] =
         online->second / static_cast<double>(city_trip().imu.size());
   }
-  const char* out = std::getenv("RGE_BENCH_MICRO_OUT");
-  rge::testing::write_json_file(rge::testing::Json(doc),
-                                out != nullptr ? out : "BENCH_micro.json");
+  rge::testing::write_json_file(rge::testing::Json(doc), "BENCH_micro.json");
 }
 
 }  // namespace

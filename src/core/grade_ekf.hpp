@@ -75,8 +75,9 @@ struct GradeTrack {
 /// expression is what math::EkfN<2> computes for this model, in the same
 /// association order, so results are bit-identical to the generic filter
 /// (pinned by GradeEkf.MatchesGenericEkfBitExact). The library runs its
-/// filters on the lane kernels (run_grade_ekf_trip, GradeEkfBatch); their
-/// parity tests step this class over the same inputs.
+/// filters on the four-lane kernel (ekf_kernel::predict_lanes, in
+/// run_grade_ekf_trip and the online estimator); their parity tests step
+/// this class over the same inputs.
 class GradeEkf {
  public:
   GradeEkf(const vehicle::VehicleParams& params, const GradeEkfConfig& cfg,

@@ -1,18 +1,16 @@
 // Per-lane kernels of the 2-state grade EKF (paper Section III-C).
 //
 // The predict/update arithmetic of GradeEkf lives here as inline functions
-// over a 5-double state so the scalar filter (grade_ekf.cpp), the SoA
-// batch filter (grade_ekf_batch.cpp) and the trip kernel
-// (grade_ekf_trip.cpp) share one definition. The expressions and
-// association order are the generic EKF (math::EkfN<2>) unrolled for
-// this model, bit for bit (pinned by GradeEkf.MatchesGenericEkfBitExact
-// and OnlinePins).
+// over a 5-double state so the scalar filter (grade_ekf.cpp), the trip
+// kernel (grade_ekf_trip.cpp) and the online estimator share one
+// definition. The expressions and association order are the generic EKF
+// (math::EkfN<2>) unrolled for this model, bit for bit (pinned by
+// GradeEkf.MatchesGenericEkfBitExact and OnlinePins).
 //
 // `sin_fn`/`cos_fn` are injected so callers choose the sin/cos; the scalar
 // filter and every RGE_SIMD=OFF lane loop use libm. predict_simd is the
-// vectorizable form of the same step that the RGE_SIMD=ON lane loops
-// (the fleet store, and predict_lanes under the trip kernel and the
-// online estimator) run.
+// vectorizable form of the same step that predict_lanes runs under
+// RGE_SIMD=ON, in the trip kernel and the online estimator.
 #pragma once
 
 #include <algorithm>

@@ -1,19 +1,17 @@
 // Build-level SIMD gate and lane-math helpers for the SoA batch kernels.
 //
-// The batch layer (GradeEkfBatch, the trip kernel run_grade_ekf_trip,
-// the online estimator's four-lane predict, resample_sorted) compiles in
-// one of two modes, selected by the CMake option RGE_SIMD (default ON):
+// The batch layer (the trip kernel run_grade_ekf_trip, the online
+// estimator's four-lane predict, resample_sorted) compiles in one of two
+// modes, selected by the CMake option RGE_SIMD (default ON):
 //
 //   RGE_SIMD=ON   Kernel translation units are built with host-tuned
-//                 vector flags (-O3 -march=native when available) and the
-//                 transcendental calls inside vector loops use the
-//                 polynomial approximations below, which auto-vectorize.
-//                 Batch results then differ from the scalar reference only
-//                 by a pinned tolerance (see DESIGN.md §8): the polynomials
-//                 are exact to < 1 ulp over the clamped grade range and
-//                 the compiler may contract multiply-adds into FMAs (the
-//                 trip kernel's and the online estimator's translation
-//                 units forbid contraction).
+//                 vector flags (-O3 -march=native when available, and
+//                 -ffp-contract=off) and the transcendental calls inside
+//                 vector loops use the polynomial approximations below,
+//                 which auto-vectorize. Batch results then differ from
+//                 the scalar reference only by a pinned tolerance (see
+//                 DESIGN.md §8): the polynomials are exact to < 1 ulp
+//                 over the clamped grade range.
 //
 //   RGE_SIMD=OFF  Kernels fall back to the scalar code paths (same
 //                 expressions, std::sin/std::cos, default flags), making
@@ -26,7 +24,6 @@
 #pragma once
 
 #include <cmath>
-#include <cstddef>
 
 #ifndef RGE_SIMD_ENABLED
 #define RGE_SIMD_ENABLED 0
@@ -46,17 +43,6 @@ namespace rge::math {
 /// (pinned-tolerance parity); false when they run the bit-identical
 /// scalar fallback.
 inline constexpr bool simd_enabled() { return RGE_SIMD_ENABLED != 0; }
-
-/// Lane granularity of every SoA batch container. Lane counts are padded
-/// up to a multiple of this so vector loops never need a scalar tail;
-/// together with purely elementwise lane arithmetic this is what makes
-/// batch outputs invariant under lane permutation (DESIGN.md §8).
-inline constexpr std::size_t kBatchLaneWidth = 8;
-
-/// Smallest multiple of kBatchLaneWidth that holds n lanes.
-inline constexpr std::size_t padded_lanes(std::size_t n) {
-  return (n + kBatchLaneWidth - 1) / kBatchLaneWidth * kBatchLaneWidth;
-}
 
 /// Odd polynomial sin, exact to < 1 ulp for |x| <= ~0.6 (the grade filter
 /// clamps theta to +/-0.35 rad, so the argument range is tiny). Unlike

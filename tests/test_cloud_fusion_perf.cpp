@@ -8,13 +8,12 @@
 //   * after all uploads, the accumulator snapshot must still be
 //     bit-identical to a full-fleet fuse_tracks_distance.
 //
-// The measured numbers are written to BENCH_cloud_fusion_perf.json
-// (override the path with RGE_BENCH_CLOUD_FUSION_OUT). That is not
-// bench_cloud_fusion's BENCH_cloud_fusion.json: the bench's artifact is
-// checked in, in another schema, and this run must not replace it.
+// The measured numbers are written to BENCH_cloud_fusion_perf.json in the
+// working directory. That is not bench_cloud_fusion's
+// BENCH_cloud_fusion.json: the bench's artifact is checked in, in another
+// schema, and this run must not replace it.
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <random>
 #include <string>
 #include <vector>
@@ -211,10 +210,7 @@ TEST(CloudFusionPerf, FleetScaleBudgets) {
       {"speedup", match_speedup},
       {"budget_min_speedup", 10.0},
   };
-  const char* out = std::getenv("RGE_BENCH_CLOUD_FUSION_OUT");
-  testing::write_json_file(testing::Json(doc),
-                           out != nullptr ? out
-                                          : "BENCH_cloud_fusion_perf.json");
+  testing::write_json_file(testing::Json(doc), "BENCH_cloud_fusion_perf.json");
 }
 
 }  // namespace

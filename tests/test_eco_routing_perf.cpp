@@ -14,8 +14,6 @@
 // instrumentation dominates pointer-chasing heap code. The checked-in
 // perf-trajectory artifact for this workload is BENCH_eco_routing.json,
 // produced by bench/bench_eco_routing (this test only enforces budgets).
-#include <time.h>
-
 #include <algorithm>
 #include <cmath>
 #include <string>
@@ -27,28 +25,13 @@
 #include "planning/city_gen.hpp"
 #include "planning/csr_graph.hpp"
 
+#include "perf_timing.hpp"
+
 namespace rge::planning {
 namespace {
 
-/// CPU time consumed by the calling thread, in ms.
-double thread_cpu_ms() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) * 1e3 +
-         static_cast<double>(ts.tv_nsec) * 1e-6;
-}
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
+using testing::kSanitized;
+using testing::thread_cpu_ms;
 
 constexpr double kMinSpeedup = kSanitized ? 3.0 : 10.0;
 constexpr double kP99BudgetMs = kSanitized ? 15.0 : 1.0;

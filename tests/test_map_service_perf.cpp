@@ -12,13 +12,12 @@
 //   * per-shard obs counters (service.shard<k>.tracks/.samples) must
 //     mirror the shards' local stats.
 //
-// The measured numbers are written to BENCH_map_service_perf.json
-// (override the path with RGE_BENCH_MAP_SERVICE_OUT). That is not
-// bench_map_service's BENCH_map_service.json: the bench's 10k-vehicle
-// artifact is checked in and this 2,000-vehicle run must not replace it.
+// The measured numbers are written to BENCH_map_service_perf.json in the
+// working directory. That is not bench_map_service's
+// BENCH_map_service.json: the bench's 10k-vehicle artifact is checked in
+// and this 2,000-vehicle run must not replace it.
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <random>
 #include <string>
 #include <vector>
@@ -204,10 +203,7 @@ TEST(MapServicePerf, CityFleetBudgets) {
       {"p99", snapshot_p99},
       {"budget_p99_us", 200.0},
   };
-  const char* out = std::getenv("RGE_BENCH_MAP_SERVICE_OUT");
-  testing::write_json_file(testing::Json(doc),
-                           out != nullptr ? out
-                                          : "BENCH_map_service_perf.json");
+  testing::write_json_file(testing::Json(doc), "BENCH_map_service_perf.json");
 }
 
 }  // namespace
